@@ -2,8 +2,8 @@ package repro.algorithms
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.views.ViewCollection
-import repro.diff.{CollectionExecutor, SplittingOptimizer}
+import repro.diff.{Analytic, Engine}
+import repro.diff.Engine.RunResult
 
 /** Strongly connected components.
   *
@@ -26,9 +26,12 @@ import repro.diff.{CollectionExecutor, SplittingOptimizer}
   * qualitative trade-off the paper's splitting optimizer exploits.
   *
   * SCC ids are canonicalized to the minimum member vid so results are
-  * directly comparable with the Tarjan reference.
+  * directly comparable with the Tarjan reference. As an [[Analytic]] it runs
+  * through [[repro.diff.CollectionExecutor]], with the ids as `value`.
   */
-object Scc {
+object Scc extends Analytic {
+
+  val name = "SCC"
 
   private val SingletonOffset = 1L << 40
 
@@ -176,53 +179,18 @@ object Scc {
     out.join(rep, Seq("scc")).select(col("vid"), col("__rep").as("scc")).transform(repro.diff.Engine.ckpt)
   }
 
-  /** Run SCC over a view collection in a given execution mode — the SCC
-    * counterpart of [[repro.diff.CollectionExecutor]], sharing the same
-    * adaptive splitting optimizer.
-    */
-  def runCollection(spark: SparkSession, vertices: DataFrame,
-                    collection: ViewCollection, mode: CollectionExecutor.Mode,
-                    keepResults: Boolean = false):
-      (Seq[CollectionExecutor.ViewStat], Seq[Map[Long, Long]]) = {
-    import CollectionExecutor._
-    val optimizer = mode match {
-      case Adaptive(b) => Some(new SplittingOptimizer(b))
-      case _           => None
-    }
-    var currentEdges: DataFrame = null
-    var prevScc: DataFrame = null
-    val stats = Seq.newBuilder[ViewStat]
-    val results = Seq.newBuilder[Map[Long, Long]]
+  def fromScratch(spark: SparkSession, vertices: DataFrame,
+                  preparedEdges: DataFrame): RunResult =
+    asRun(spark, scratch(spark, vertices, preparedEdges))
 
-    for (t <- 0 until collection.numViews) {
-      val delta = collection.diffsAt(t).transform(repro.diff.Engine.ckpt)
-      val deltaCnt = delta.count()
-      val adds = repro.diff.Engine.fresh(
-        delta.where(col("diff") > 0).select("eid", "src", "dst", "weight"))
-      val dels = repro.diff.Engine.fresh(delta.where(col("diff") < 0))
-      currentEdges = (if (currentEdges == null) adds
-                      else currentEdges.unionByName(adds)
-                        .join(dels.select("eid"), Seq("eid"), "left_anti"))
-        .transform(repro.diff.Engine.ckpt)
-      val edgeCnt = currentEdges.count()
+  def advance(spark: SparkSession, vertices: DataFrame, preparedEdges: DataFrame,
+              delta: DataFrame, prev: RunResult): RunResult =
+    asRun(spark, incremental(spark, preparedEdges,
+      delta.where(col("diff") < 0).select("src", "dst"),
+      prev.finalState.select(col("vid"), col("value").cast("long").as("scc"))))
 
-      val runDiff = prevScc != null && (mode match {
-        case DiffOnly    => true
-        case ScratchOnly => false
-        case Adaptive(_) => optimizer.get.decide(t, edgeCnt, deltaCnt)
-      })
-
-      val t0 = System.nanoTime()
-      prevScc =
-        if (runDiff)
-          incremental(spark, currentEdges, dels.select("src", "dst"), prevScc)
-        else scratch(spark, vertices, currentEdges)
-      val ms = (System.nanoTime() - t0) / 1000000
-      optimizer.foreach(_.observe(runDiff, if (runDiff) deltaCnt else edgeCnt, ms))
-      stats += ViewStat(t, collection.viewNames(t), runDiff, ms, edgeCnt, deltaCnt, 0, 0)
-      if (keepResults)
-        results += prevScc.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    }
-    (stats.result(), results.result())
-  }
+  /** SCC keeps no iteration trace: `advance` needs only the previous ids. */
+  private def asRun(spark: SparkSession, scc: DataFrame): RunResult =
+    RunResult(scc.select(col("vid"), col("scc").cast("double").as("value")),
+              Engine.emptyTrace(spark), 0, 0, 0L)
 }

@@ -10,9 +10,9 @@ import repro.graph.GraphGen
   * collections — one with tiny difference sets, one with huge ones.
   *
   * Paper setup: 10M Orkut edges, 20 views, C_1K = ±500 edges/view,
-  * C_3.5M = +2M/−1.5M edges/view. This repro (scale 1.0): 150K edges,
-  * 10 views, C_small = ±150 (0.1%, like C_1K's 0.005% — small), C_large =
-  * +30K/−22.5K (the paper's +20%/−15% fractions exactly).
+  * C_3.5M = +2M/−1.5M edges/view. This repro (scale 1.0): 100K edges,
+  * 8 views, C_small = ±150 (0.15%, like C_1K's 0.005% — small), C_large =
+  * +20K/−15K (the paper's +20%/−15% fractions exactly).
   */
 object Table2 {
 

@@ -2,7 +2,7 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.algorithms.{Bfs, PageRankProg, Scc, Wcc}
-import repro.diff.{CollectionExecutor, VertexProgram}
+import repro.diff.{Analytic, CollectionExecutor}
 import repro.graph.GraphGen
 import repro.gvdl.{Ast, Parser}
 import repro.views.ViewCollection
@@ -14,10 +14,11 @@ import repro.views.ViewCollection
   * decades), C_ex-sh-sl (expand/shrink/slide year windows), C_aut (5 year
   * windows × 5 author-count windows = 25 views). This repro: synthetic
   * citation analog (DESIGN.md), C_sl slides the decade by 10 years
-  * (9 views), C_ex-sh-sl uses 2-year steps (10 views), C_aut uses a 3×3
-  * window grid (9 views) — smaller view counts keep the 36-run sweep
-  * tractable at laptop scale while preserving each collection's
-  * addition/deletion structure.
+  * (5 views), C_ex-sh-sl expands, shrinks and slides a year window in
+  * 2–3-year steps (7 views), C_aut uses a 2×3 year × author-count grid
+  * (6 views) — smaller view counts keep the 36-run sweep tractable at
+  * laptop scale while preserving each collection's addition/deletion
+  * structure.
   */
 object Table3 {
 
@@ -63,9 +64,8 @@ object Table3 {
     val verts = g.vertexIds
     val colls = collections(spark, g)
 
-    val programs: Seq[(String, Option[VertexProgram])] = Seq(
-      "WCC" -> Some(Wcc()), "BFS" -> Some(Bfs(src)),
-      "SCC" -> None, "PR" -> Some(PageRankProg(5)))
+    val programs: Seq[(String, Analytic)] = Seq(
+      "WCC" -> Wcc(), "BFS" -> Bfs(src), "SCC" -> Scc, "PR" -> PageRankProg(5))
     val modes = Seq("diff" -> CollectionExecutor.DiffOnly,
                     "scratch" -> CollectionExecutor.ScratchOnly,
                     "adapt" -> CollectionExecutor.Adaptive())
@@ -74,15 +74,9 @@ object Table3 {
     out += "== Table 3: adaptive splitting on citation view collections =="
     out += f"graph: |V|=$nV |E|=$nE (paper: Semantic Scholar 172M/605M)"
     out += f"${"algo"}%-5s ${"mode"}%-8s ${colls.map(_._1.padTo(12, ' ')).mkString}"
-    for ((aName, progOpt) <- programs; (mName, mode) <- modes) {
+    for ((aName, prog) <- programs; (mName, mode) <- modes) {
       val times = colls.map { case (_, coll) =>
-        val ms = progOpt match {
-          case Some(p) =>
-            CollectionExecutor.run(spark, p, verts, coll, mode).totalMillis
-          case None =>
-            Scc.runCollection(spark, verts, coll, mode)._1.map(_.millis).sum
-        }
-        BenchUtil.fmtMs(ms)
+        BenchUtil.fmtMs(CollectionExecutor.run(spark, prog, verts, coll, mode).totalMillis)
       }
       out += f"$aName%-5s $mName%-8s ${times.map(_.padTo(12, ' ')).mkString}"
     }

@@ -8,11 +8,12 @@ import Engine._
 /** Analytics Computation Executor for view collections (§3.2.2 + §5).
   *
   * Iterates over the collection's ordered views, maintains the current
-  * edge set E_t by applying difference sets, and runs the program on each
-  * view either differentially (against the previous view's trace) or from
-  * scratch, according to the execution mode. Adaptive mode delegates the
-  * choice to [[SplittingOptimizer]]; a scratch run replaces the stored
-  * trace, which is exactly a collection split.
+  * edge set E_t by applying difference sets, and runs the analytic on each
+  * view either differentially (advancing the previous view's result) or
+  * from scratch, according to the execution mode. Vertex programs and SCC
+  * both run through this one loop. Adaptive mode delegates the choice to
+  * [[SplittingOptimizer]]; a scratch run replaces the stored trace, which
+  * is exactly a collection split.
   */
 object CollectionExecutor {
 
@@ -31,14 +32,14 @@ object CollectionExecutor {
 
   /** Result: per-view stats and, if requested via `keepResults`, the final
     * per-vertex state of each view (collected to the driver as
-    * vid → value maps — tests only; benches leave it off).
+    * vid → value maps — SCC ids come back as doubles, exact below 2^53).
     */
   final case class CollectionRun(stats: Seq[ViewStat],
                                  results: Seq[Map[Long, Double]]) {
     def totalMillis: Long = stats.map(_.millis).sum
   }
 
-  def run(spark: SparkSession, program: VertexProgram, vertices: DataFrame,
+  def run(spark: SparkSession, program: Analytic, vertices: DataFrame,
           collection: ViewCollection, mode: Mode,
           keepResults: Boolean = false): CollectionRun = {
 
@@ -63,8 +64,7 @@ object CollectionExecutor {
         else currentEdges.unionByName(adds).join(dels, Seq("eid"), "left_anti"))
       val edgeCnt = currentEdges.count()
 
-      val prepared = ckpt(prepare(program, currentEdges))
-      val preparedDelta = prepareDelta(program, delta)
+      val prepared = program.prepareEdges(currentEdges)
 
       val runDiff = state != null && (mode match {
         case DiffOnly    => true
@@ -74,8 +74,8 @@ object CollectionExecutor {
 
       val t0 = System.nanoTime()
       state =
-        if (runDiff) DifferentialRun.run(spark, program, verts, prepared, preparedDelta, state)
-        else ScratchRun.run(spark, program, verts, prepared)
+        if (runDiff) program.advance(spark, verts, prepared, delta, state)
+        else program.fromScratch(spark, verts, prepared)
       val ms = (System.nanoTime() - t0) / 1000000
       optimizer.foreach(_.observe(runDiff, if (runDiff) deltaCnt else edgeCnt, ms))
 

@@ -21,13 +21,24 @@ import VertexProgram.neq
   *   - `N_out(Diff_{i-1})` — downstream of vertices whose value at the
   *     previous iteration diverged from the stored trace.
   *
-  * Invariant (induction over iterations): any vertex not in the affected
+  * Invariant (induction over iterations): any vertex not in the examined
   * set has exactly its stored value, so `Diff_i` doubles as the complete
-  * override set of iteration i. The replay stops early once the stored
-  * inputs of W are frozen (`i > L`, L = last stored change among
-  * W ∪ N_in(W) ∪ src(δE)) and two consecutive iterations produced no
-  * divergence — after that the run provably mirrors the stored trace, so
-  * the final state is the stored final state.
+  * override set of iteration i.
+  *
+  * Stop rule: stop after iteration i iff (1) no examined vertex changed
+  * from i−1 to i, and (2) the stored trace has no change-point at any
+  * iteration ≥ i on R = A′ ∪ N_in(A′), where A′ = W ∪ N_out(Diff_i) ∪
+  * Diff_i is the set iteration i+1 would examine. It is sound because every
+  * in-neighbor of A′ lies in R and so holds the same value at i−1 and i —
+  * examined ones by (1), the others because they carry stored values, which
+  * (2) freezes. Each vertex of A′ therefore recomputes its value of
+  * iteration i, R stays frozen, and every vertex outside A′ has unchanged
+  * inputs and follows the stored run; by induction every later iteration is
+  * the stored run overridden by `Diff_i`, and so is the final state. (2)
+  * needs no Spark job once i > lastIter; otherwise it is one trace query.
+  * Because the query is scoped to the divergence region rather than the
+  * whole trace, replay cost tracks the locality of the change, not the
+  * trace length (the paper's z_jk sharing argument).
   *
   * Affected sets are broadcast, so per-iteration cost scales with the size
   * of the computation-footprint difference, not |V| — this is the
@@ -41,7 +52,7 @@ object DifferentialRun {
 
     if (preparedDelta.isEmpty) return prev.copy(iterations = 0, workRows = 0L)
 
-    // ---- perpetually-affected set W and the freeze horizon L ------------
+    // ---- perpetually-affected set W ------------------------------------
     val dstOfDelta = preparedDelta.select(col("dst").as("vid"))
     val w = ckpt(
       (if (!program.degreeDependent) dstOfDelta
@@ -53,27 +64,30 @@ object DifferentialRun {
              .select(col("dst").as("vid")))
        }).distinct())
 
-    val ninW = preparedEdges
-      .join(broadcast(w.select(col("vid").as("__wv"))), preparedEdges("dst") === col("__wv"))
-      .select(col("src").as("vid"))
-    val lSet = fresh(
-      w.unionByName(ninW)
-        .unionByName(preparedDelta.select(col("src").as("vid")))
-        .distinct())
-    val lRow = prev.trace
-      .join(broadcast(lSet), Seq("vid"))
-      .agg(max(col("iter")).as("m"))
-      .collect()(0)
-    val freezeL = if (lRow.isNullAt(0)) 0 else lRow.getInt(0)
+    def edgesInto(s: DataFrame): DataFrame =
+      preparedEdges
+        .join(broadcast(s.select(col("vid").as("__av"))),
+              preparedEdges("dst") === col("__av"))
+        .drop("__av")
+
+    // Examined set of the iteration after one that diverged on `diff`: W,
+    // downstream of the divergence, and the divergence itself — a diverged
+    // vertex whose inputs match the stored run again must be *re-examined*
+    // so its revert to the stored value lands in the new trace as a
+    // change-point.
+    def examinedAfter(diff: DataFrame): DataFrame =
+      w.unionByName(
+          preparedEdges
+            .join(broadcast(diff.select(col("vid").as("__dv"))),
+                  preparedEdges("src") === col("__dv"))
+            .select(col("dst").as("vid")))
+        .unionByName(diff.select("vid"))
+        .distinct()
 
     // Frames reused on every "quiet" iteration (no divergence yet): the
     // examined set is exactly W, so its in-edge slice and source-id set are
     // loop-invariant and worth caching once per view.
-    val wEdgesIn = ckpt(
-      preparedEdges
-        .join(broadcast(w.select(col("vid").as("__av"))),
-              preparedEdges("dst") === col("__av"))
-        .drop("__av"))
+    val wEdgesIn = ckpt(edgesInto(w))
     val wSrcIds = ckpt(
       if (program.aggIsMin) wEdgesIn.select(col("src").as("vid"))
       else wEdgesIn.select(col("src").as("vid")).distinct())
@@ -81,9 +95,6 @@ object DifferentialRun {
     // ---- iteration replay ----------------------------------------------
     var diffPrev    = emptyState(spark)
     var diffPrevCnt = 0L
-    var prevPrevCnt = 0L
-    var prevCpCnt   = -1L
-    var ldyn        = -1 // cached dynamic freeze horizon; -1 = stale
     val affectedLogParts = Seq.newBuilder[DataFrame]
     val changeParts      = Seq.newBuilder[DataFrame]
     var i = 0
@@ -94,31 +105,13 @@ object DifferentialRun {
     while (!done && i < cap) {
       i += 1
       val iterT0 = System.nanoTime()
-      // Examined set: W, downstream of the previous divergence, and the
-      // previous divergence itself — a diverged vertex whose inputs match
-      // the stored run again must be *re-examined* so its revert to the
-      // stored value lands in the new trace as a change-point.
-      val fanout =
-        if (diffPrevCnt == 0) w
-        else w
-          .unionByName(
-            preparedEdges
-              .join(broadcast(diffPrev.select(col("vid").as("__dv"))),
-                    preparedEdges("src") === col("__dv"))
-              .select(col("dst").as("vid")))
-          .unionByName(diffPrev.select("vid"))
       val quiet = diffPrevCnt == 0
-      val affected = if (quiet) w else ckpt(fanout.distinct())
+      val affected = if (quiet) w else ckpt(examinedAfter(diffPrev))
       affectedLogParts += affected.select(col("vid"), lit(i).as("iter"))
 
       // Recompute affected vertices from their full current in-neighborhood
       // at states of iteration i-1 (stored ⊕ previous-iteration overrides).
-      val edgesIn =
-        if (quiet) wEdgesIn
-        else preparedEdges
-          .join(broadcast(affected.select(col("vid").as("__av"))),
-                preparedEdges("dst") === col("__av"))
-          .drop("__av")
+      val edgesIn = if (quiet) wEdgesIn else edgesInto(affected)
       // min-aggregation is idempotent, so duplicate source lookups are
       // harmless and the dedup shuffle can be skipped; sum (PageRank)
       // must deduplicate or messages would double.
@@ -126,7 +119,8 @@ object DifferentialRun {
         if (quiet) wSrcIds
         else if (program.aggIsMin) fresh(edgesIn.select(col("src").as("vid")))
         else fresh(edgesIn.select(col("src").as("vid")).distinct())
-      val srcStored = storedValueAt(program, prev.trace, srcIds, i - 1)
+      val srcStored = storedPairAt(program, prev.trace, srcIds, i - 1)
+        .select(col("vid"), col("__sc").as("value"))
       val srcVals = (
         if (quiet) srcStored
         else srcStored
@@ -171,51 +165,20 @@ object DifferentialRun {
       changeParts += joined.where(neq(col("value"), col("__np")))
         .select(col("vid"), lit(i).as("iter"), col("value"))
 
-      prevPrevCnt = diffPrevCnt
       diffPrev = diffCur
       diffPrevCnt = dCnt
       if (sys.env.contains("REPRO_VERBOSE2"))
         Console.err.println(f"[diff-iter] i=$i%3d quiet=$quiet affected=$jCnt%6d d=$dCnt c=$cpCnt ms=${(System.nanoTime() - iterT0) / 1000000}%5d")
 
-      // Exit A — nothing diverged for two consecutive iterations and the
-      // stored inputs of W are frozen: the rest of the run provably mirrors
-      // the stored trace exactly.
-      if (dCnt == 0 && prevPrevCnt == 0 && i >= freezeL + 1) done = true
-      // Exit B — the new run is stationary (no change-points, so
-      // newState_i == newState_{i-1}) and the stored trace is frozen
-      // everywhere: every further iteration repeats this one, with the
-      // divergence set Diff_i as the permanent override of the stored run.
-      if (cpCnt == 0 && i >= math.max(prev.lastIter, freezeL)) done = true
-      // Exit C — dynamic freeze horizon. Two consecutive stationary
-      // iterations and the stored trace frozen *on the closed neighborhood
-      // of the divergence region* (Diff ∪ N_out(Diff) ∪ affected ∪ their
-      // in-neighbors): every later iteration repeats this one even though
-      // faraway parts of the stored trace are still evolving — they mirror
-      // the stored run verbatim. This is what keeps the replay cost
-      // proportional to the locality of the change, not the trace length
-      // (the paper's z_jk sharing argument).
-      if (!done && cpCnt == 0 && prevCpCnt == 0) {
-        if (ldyn < 0) {
-          val dv = diffPrev.select(col("vid").as("__dv"))
-          val nOut = preparedEdges
-            .join(broadcast(dv), preparedEdges("src") === col("__dv"))
-            .select(col("dst").as("vid"))
-          val a2 = ckpt(
-            affected.select("vid").unionByName(nOut)
-              .unionByName(diffPrev.select("vid")).distinct())
-          val nIn = preparedEdges
-            .join(broadcast(a2.select(col("vid").as("__rv"))),
-                  preparedEdges("dst") === col("__rv"))
-            .select(col("src").as("vid"))
-          val region = fresh(a2.unionByName(nIn).distinct())
-          val r = prev.trace.join(broadcast(region), Seq("vid"))
-            .agg(max(col("iter")).as("m")).collect()(0)
-          ldyn = if (r.isNullAt(0)) 0 else r.getInt(0)
-        }
-        if (ldyn < i) done = true
-      }
-      if (cpCnt != 0) ldyn = -1
-      prevCpCnt = cpCnt
+      // The stop rule (see the scaladoc for why it is sound).
+      done = cpCnt == 0 && (i > prev.lastIter || {
+        val (next, nextIn) =
+          if (dCnt == 0) (w, wEdgesIn)
+          else { val a = ckpt(examinedAfter(diffCur)); (a, edgesInto(a)) }
+        val region = fresh(next.select("vid")
+          .unionByName(nextIn.select(col("src").as("vid"))).distinct())
+        prev.trace.where(col("iter") >= i).join(broadcast(region), Seq("vid")).isEmpty
+      })
     }
 
     // ---- assemble result ------------------------------------------------

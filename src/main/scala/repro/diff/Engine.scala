@@ -114,9 +114,10 @@ object Engine {
   }
 
   /** Stored states of the vertices in `s` at iterations `j` and `j-1` in a
-    * single trace pass: returns `vid, __sc` (value at j), `__sp` (value at
-    * j-1), falling back to init. The `-1` ordering sentinel keeps `max_by`
-    * away from null ordering values.
+    * single trace pass: returns `vid, __sc` (value at j: the latest trace
+    * change ≤ j), `__sp` (value at j-1), each falling back to init. `s` must
+    * have a `vid` column and is assumed small (it is broadcast). The `-1`
+    * ordering sentinel keeps `max_by` away from null ordering values.
     */
   def storedPairAt(program: VertexProgram, trace: DataFrame, s: DataFrame,
                    j: Int): DataFrame = {
@@ -135,24 +136,5 @@ object Engine {
         .select(col("vid"),
                 coalesce(col("__tc"), program.initExpr(col("vid")).cast("double")).as("__sc"),
                 coalesce(col("__tp"), program.initExpr(col("vid")).cast("double")).as("__sp")))
-  }
-
-  /** Stored state of the vertices in `s` at iteration `j`: latest trace
-    * change ≤ j, falling back to init. `s` must have a `vid` column and is
-    * assumed small (it is broadcast).
-    */
-  def storedValueAt(program: VertexProgram, trace: DataFrame, s: DataFrame,
-                    j: Int): DataFrame = {
-    val hits = fresh(
-      trace
-        .where(col("iter") <= j)
-        .join(broadcast(fresh(s.select("vid"))), Seq("vid"))
-        .groupBy("vid")
-        .agg(max_by(col("value"), col("iter")).as("__tv")))
-    fresh(
-      fresh(s.select("vid"))
-        .join(broadcast(hits), Seq("vid"), "left")
-        .select(col("vid"),
-                coalesce(col("__tv"), program.initExpr(col("vid")).cast("double")).as("value")))
   }
 }

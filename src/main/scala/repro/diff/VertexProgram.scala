@@ -1,7 +1,8 @@
 package repro.diff
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import Engine._
 
 /** An iterative graph analytics program in Jacobi vertex-centric form —
   * the repo's analog of the paper's `graph_analytics` DD programs
@@ -21,9 +22,7 @@ import org.apache.spark.sql.functions._
   * All hooks are Catalyst [[Column]] expressions, so both the scratch and
   * differential executors stay entirely inside Spark SQL.
   */
-trait VertexProgram {
-  def name: String
-
+trait VertexProgram extends Analytic {
   /** state_0 and the apply() base for a vertex id column. */
   def initExpr(vid: Column): Column
 
@@ -56,6 +55,16 @@ trait VertexProgram {
 
   /** Aggregation column. */
   final def aggColumn(c: Column): Column = if (aggIsMin) min(c) else sum(c)
+
+  final override def prepareEdges(edges: DataFrame): DataFrame = ckpt(prepare(this, edges))
+
+  final def fromScratch(spark: SparkSession, vertices: DataFrame,
+                        preparedEdges: DataFrame): RunResult =
+    ScratchRun.run(spark, this, vertices, preparedEdges)
+
+  final def advance(spark: SparkSession, vertices: DataFrame, preparedEdges: DataFrame,
+                    delta: DataFrame, prev: RunResult): RunResult =
+    DifferentialRun.run(spark, this, vertices, preparedEdges, prepareDelta(this, delta), prev)
 }
 
 object VertexProgram {

@@ -15,6 +15,10 @@ class SccSpec extends ReproSpec {
   private def sccRef(nV: Int, edges: Seq[E]): Map[Long, Long] =
     Reference.scc((0L until nV).toSeq, edges.map(e => (e.src, e.dst)))
 
+  /** The collection loop returns every result as a double. */
+  private def asIds(ref: Map[Long, Long]): Map[Long, Double] =
+    ref.map { case (v, c) => v -> c.toDouble }
+
   test("explicit example: two cycles bridged by a DAG edge") {
     // 0→1→2→0 and 3→4→3, bridge 2→3, tail 4→5.
     val edges = Seq((0L,1L),(1L,2L),(2L,0L),(3L,4L),(4L,3L),(2L,3L),(4L,5L))
@@ -73,12 +77,12 @@ class SccSpec extends ReproSpec {
       val init = TestGraphs.randomEdges(rnd, nV, 60)
       val views = TestGraphs.perturbationViews(rnd, nV, init, 4, 10, 10)
       val coll = TestGraphs.collectionFrom(spark, s"scc$seed", views)
-      val (stats, results) = Scc.runCollection(spark, TestGraphs.vertices(spark, nV),
+      val run = CollectionExecutor.run(spark, Scc, TestGraphs.vertices(spark, nV),
         coll, CollectionExecutor.DiffOnly, keepResults = true)
-      assert(stats.head.ranDiff === false)
-      stats.drop(1).foreach(s => assert(s.ranDiff))
+      assert(run.stats.head.ranDiff === false)
+      run.stats.drop(1).foreach(s => assert(s.ranDiff))
       for (t <- views.indices)
-        assert(results(t) == sccRef(nV, views(t)), s"view $t")
+        assert(run.results(t) == asIds(sccRef(nV, views(t))), s"view $t")
     }
   }
 
@@ -88,9 +92,9 @@ class SccSpec extends ReproSpec {
     val init = TestGraphs.randomEdges(rnd, nV, 60)
     val views = TestGraphs.perturbationViews(rnd, nV, init, 3, 8, 8)
     val coll = TestGraphs.collectionFrom(spark, "sccS", views)
-    val (_, results) = Scc.runCollection(spark, TestGraphs.vertices(spark, nV),
+    val run = CollectionExecutor.run(spark, Scc, TestGraphs.vertices(spark, nV),
       coll, CollectionExecutor.ScratchOnly, keepResults = true)
     for (t <- views.indices)
-      assert(results(t) == sccRef(nV, views(t)), s"view $t")
+      assert(run.results(t) == asIds(sccRef(nV, views(t))), s"view $t")
   }
 }

@@ -100,6 +100,22 @@ class DifferentialRunSpec extends ReproSpec {
       assertClose(run.results(t), referenceFor(Bfs(0L), nV, viewLists(t)), s"view $t")
   }
 
+  test("replay continues while a stored change can still reach a diverged vertex") {
+    // Chain 0→1→2→3→4 plus the shortcut 0→4; view 1 deletes the shortcut.
+    // Vertex 4 diverges (1 → ∞) at iteration 1 and stays stationary until
+    // the chain's stored change at vertex 3 (iteration 3) reaches it at
+    // iteration 4, so the replay must not stop at the stored horizon.
+    val chain = (0 until 4).map(k => E(k, k.toLong, k + 1L, 1.0))
+    val v0 = chain :+ E(4, 0L, 4L, 1.0)
+    val viewLists = Vector(v0, chain)
+    val coll = TestGraphs.collectionFrom(spark, "shortcut", viewLists)
+    val run = CollectionExecutor.run(spark, Sssp(0L), TestGraphs.vertices(spark, 5),
+                                     coll, CollectionExecutor.DiffOnly, keepResults = true)
+    assert(run.stats(1).ranDiff)
+    for (t <- viewLists.indices)
+      assertClose(run.results(t), referenceFor(Sssp(0L), 5, viewLists(t)), s"view $t")
+  }
+
   test("disjoint views (complete replacement) still produce correct results") {
     val rnd = new Random(53)
     val nV = 30

@@ -66,7 +66,7 @@ class ScratchRunSpec extends ReproSpec {
     val prepared = Engine.prepare(prog, TestGraphs.edgesDF(spark, edges))
     val res = ScratchRun.run(spark, prog, TestGraphs.vertices(spark, nV), prepared)
     val replayed = Engine
-      .storedValueAt(prog, res.trace, TestGraphs.vertices(spark, nV), res.lastIter)
+      .storedPairAt(prog, res.trace, TestGraphs.vertices(spark, nV), res.lastIter)
       .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     val fin = res.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     assert(replayed == fin)
