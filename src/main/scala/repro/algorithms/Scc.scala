@@ -2,7 +2,7 @@ package repro.algorithms
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.diff.{Analytic, Engine}
+import repro.diff.{Analytic, Trace}
 import repro.diff.Engine.RunResult
 
 /** Strongly connected components.
@@ -181,16 +181,16 @@ object Scc extends Analytic {
 
   def fromScratch(spark: SparkSession, vertices: DataFrame,
                   preparedEdges: DataFrame): RunResult =
-    asRun(spark, scratch(spark, vertices, preparedEdges))
+    asRun(scratch(spark, vertices, preparedEdges))
 
   def advance(spark: SparkSession, vertices: DataFrame, preparedEdges: DataFrame,
               delta: DataFrame, prev: RunResult): RunResult =
-    asRun(spark, incremental(spark, preparedEdges,
+    asRun(incremental(spark, preparedEdges,
       delta.where(col("diff") < 0).select("src", "dst"),
       prev.finalState.select(col("vid"), col("value").cast("long").as("scc"))))
 
   /** SCC keeps no iteration trace: `advance` needs only the previous ids. */
-  private def asRun(spark: SparkSession, scc: DataFrame): RunResult =
+  private def asRun(scc: DataFrame): RunResult =
     RunResult(scc.select(col("vid"), col("scc").cast("double").as("value")),
-              Engine.emptyTrace(spark), 0, 0, 0L)
+              Trace.empty, 0, 0, 0L)
 }

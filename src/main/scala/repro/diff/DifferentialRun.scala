@@ -1,7 +1,8 @@
 package repro.diff
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
 import Engine._
 import VertexProgram.neq
 
@@ -35,170 +36,145 @@ import VertexProgram.neq
   * iteration i, R stays frozen, and every vertex outside A′ has unchanged
   * inputs and follows the stored run; by induction every later iteration is
   * the stored run overridden by `Diff_i`, and so is the final state. (2)
-  * needs no Spark job once i > lastIter; otherwise it is one trace query.
-  * Because the query is scoped to the divergence region rather than the
-  * whole trace, replay cost tracks the locality of the change, not the
-  * trace length (the paper's z_jk sharing argument).
+  * holds trivially once i > lastIter; otherwise it is `lastChange(v) < i`
+  * for every v ∈ R on the arranged trace. Because the query is scoped to
+  * the divergence region rather than the whole trace, replay cost tracks
+  * the locality of the change, not the trace length (the paper's z_jk
+  * sharing argument).
   *
-  * Affected sets are broadcast, so per-iteration cost scales with the size
-  * of the computation-footprint difference, not |V| — this is the
-  * computation sharing the paper's Table 2 / Figure 6 measure.
+  * The replay's state lives on the driver: the arranged trace, the
+  * frontier (W, A_i, Diff_i) and the edge slices of the vertices it has
+  * examined. Spark only fetches a vertex's in- and out-edges, once per
+  * view, the first time it is examined — at most one job per iteration and
+  * none on an iteration that reaches no new vertex. The program's hooks run
+  * on the driver through [[DriverHooks]]. Per-iteration cost therefore
+  * scales with the size of the computation-footprint difference, not |V|
+  * or |E| — the computation sharing the paper's Table 2 / Figure 6 measure.
   */
 object DifferentialRun {
+
+  private final case class InEdge(src: Long, weight: Double, srcdeg: Long)
 
   def run(spark: SparkSession, program: VertexProgram, vertices: DataFrame,
           preparedEdges: DataFrame, preparedDelta: DataFrame,
           prev: RunResult): RunResult = {
 
-    if (preparedDelta.isEmpty) return prev.copy(iterations = 0, workRows = 0L)
+    val delta = preparedDelta.select("src", "dst").collect()
+      .map(r => (r.getLong(0), r.getLong(1)))
+    if (delta.isEmpty)
+      return prev.copy(iterations = 0, workRows = 0L, iterStats = Nil, stop = None)
+
+    val hooks = program.hooks
+    val trace = prev.trace
+
+    // ---- edge slices of the view, fetched once per vertex ---------------
+    val inEdges  = mutable.HashMap.empty[Long, mutable.ArrayBuffer[InEdge]]
+    val outNbrs  = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
+    var fetched = 0 // vertices fetched since the last iteration record
+    def fetch(s: Iterable[Long]): Unit = {
+      val fresh = s.iterator.filterNot(inEdges.contains).toSet
+      if (fresh.nonEmpty) {
+        fresh.foreach { v =>
+          inEdges(v) = mutable.ArrayBuffer.empty
+          outNbrs(v) = mutable.ArrayBuffer.empty
+        }
+        val ids = fresh.toSeq
+        preparedEdges
+          .where(col("dst").isin(ids: _*) || col("src").isin(ids: _*))
+          .select("src", "dst", "weight", "srcdeg").collect()
+          .foreach { r =>
+            val (src, dst) = (r.getLong(0), r.getLong(1))
+            if (fresh(dst)) inEdges(dst) += InEdge(src, r.getDouble(2), r.getLong(3))
+            if (fresh(src)) outNbrs(src) += dst
+          }
+        fetched += fresh.size
+      }
+    }
 
     // ---- perpetually-affected set W ------------------------------------
-    val dstOfDelta = preparedDelta.select(col("dst").as("vid"))
-    val w = ckpt(
-      (if (!program.degreeDependent) dstOfDelta
-       else {
-         val srcs = preparedDelta.select(col("src").as("__s")).distinct()
-         dstOfDelta.unionByName(
-           preparedEdges
-             .join(broadcast(srcs), preparedEdges("src") === col("__s"))
-             .select(col("dst").as("vid")))
-       }).distinct())
-
-    def edgesInto(s: DataFrame): DataFrame =
-      preparedEdges
-        .join(broadcast(s.select(col("vid").as("__av"))),
-              preparedEdges("dst") === col("__av"))
-        .drop("__av")
+    val deltaDsts = delta.map(_._2).toSet
+    val deltaSrcs = if (program.degreeDependent) delta.map(_._1).toSet else Set.empty[Long]
+    fetch(deltaDsts ++ deltaSrcs)
+    val w = deltaDsts ++ deltaSrcs.flatMap(outNbrs)
 
     // Examined set of the iteration after one that diverged on `diff`: W,
     // downstream of the divergence, and the divergence itself — a diverged
     // vertex whose inputs match the stored run again must be *re-examined*
     // so its revert to the stored value lands in the new trace as a
     // change-point.
-    def examinedAfter(diff: DataFrame): DataFrame =
-      w.unionByName(
-          preparedEdges
-            .join(broadcast(diff.select(col("vid").as("__dv"))),
-                  preparedEdges("src") === col("__dv"))
-            .select(col("dst").as("vid")))
-        .unionByName(diff.select("vid"))
-        .distinct()
-
-    // Frames reused on every "quiet" iteration (no divergence yet): the
-    // examined set is exactly W, so its in-edge slice and source-id set are
-    // loop-invariant and worth caching once per view.
-    val wEdgesIn = ckpt(edgesInto(w))
-    val wSrcIds = ckpt(
-      if (program.aggIsMin) wEdgesIn.select(col("src").as("vid"))
-      else wEdgesIn.select(col("src").as("vid")).distinct())
+    def examinedAfter(diff: collection.Map[Long, Double]): Set[Long] =
+      if (diff.isEmpty) w else w ++ diff.keys.flatMap(outNbrs) ++ diff.keys
 
     // ---- iteration replay ----------------------------------------------
-    var diffPrev    = emptyState(spark)
-    var diffPrevCnt = 0L
-    val affectedLogParts = Seq.newBuilder[DataFrame]
-    val changeParts      = Seq.newBuilder[DataFrame]
+    val examinedAt = mutable.HashMap.empty[Long, mutable.BitSet]
+    val added = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Int, Double)]]
+    val iterStats = Vector.newBuilder[IterStat]
+    var diffPrev: collection.Map[Long, Double] = Map.empty
+    var affected = w
     var i = 0
     var work = 0L
-    var done = false
+    var stop = Option.empty[Stop]
     val cap = program.fixedIterations.getOrElse(program.maxIterations)
 
-    while (!done && i < cap) {
+    while (stop.isEmpty && i < cap) {
       i += 1
       val iterT0 = System.nanoTime()
-      val quiet = diffPrevCnt == 0
-      val affected = if (quiet) w else ckpt(examinedAfter(diffPrev))
-      affectedLogParts += affected.select(col("vid"), lit(i).as("iter"))
+      fetch(affected)
 
       // Recompute affected vertices from their full current in-neighborhood
       // at states of iteration i-1 (stored ⊕ previous-iteration overrides).
-      val edgesIn = if (quiet) wEdgesIn else edgesInto(affected)
-      // min-aggregation is idempotent, so duplicate source lookups are
-      // harmless and the dedup shuffle can be skipped; sum (PageRank)
-      // must deduplicate or messages would double.
-      val srcIds =
-        if (quiet) wSrcIds
-        else if (program.aggIsMin) fresh(edgesIn.select(col("src").as("vid")))
-        else fresh(edgesIn.select(col("src").as("vid")).distinct())
-      val srcStored = storedPairAt(program, prev.trace, srcIds, i - 1)
-        .select(col("vid"), col("__sc").as("value"))
-      val srcVals = (
-        if (quiet) srcStored
-        else srcStored
-          .join(broadcast(diffPrev.select(col("vid"), col("value").as("__ov"))),
-                Seq("vid"), "left")
-          .select(col("vid"), coalesce(col("__ov"), col("value")).as("value"))
-        ).select(col("vid").as("__sv"), col("value").as("__val"))
-      val msgs = edgesIn
-        .join(broadcast(srcVals), edgesIn("src") === col("__sv"))
-        .select(col("dst"),
-                program.msgExpr(col("__val"), col("weight"), col("srcdeg")).as("__m"))
-      val agg = msgs.groupBy("dst").agg(program.aggColumn(col("__m")).as("__agg"))
-      val newCur = affected
-        .join(broadcast(agg), affected("vid") === agg("dst"), "left")
-        .select(col("vid"),
-                program.applyExpr(program.initExpr(col("vid")).cast("double"),
-                                  col("__agg")).cast("double").as("value"))
-
-      val storedBoth = storedPairAt(program, prev.trace, affected, i)
-      // |joined| == |affected| (left joins over the affected key set), so
-      // the materialization count doubles as the work metric.
-      val base = newCur.join(broadcast(storedBoth), Seq("vid"))
-      val (joined, jCnt) = ckptCounted(
-        if (quiet)
-          base.select(col("vid"), col("value"), col("__sc"), col("__sp").as("__np"))
-        else
-          base
-            .join(broadcast(diffPrev.select(col("vid"), col("value").as("__op"))),
-                  Seq("vid"), "left")
-            .select(col("vid"), col("value"), col("__sc"),
-                    coalesce(col("__op"), col("__sp")).as("__np")))
-      work += jCnt
-
-      // diffCur and the change-points are cheap filters over the cached
-      // `joined`; one aggregation job yields both cardinalities.
-      val diffCur = joined.where(neq(col("value"), col("__sc"))).select("vid", "value")
-      val cntRow = joined.agg(
-        sum(neq(col("value"), col("__sc")).cast("long")).as("d"),
-        sum(neq(col("value"), col("__np")).cast("long")).as("c")).collect()(0)
-      val dCnt  = if (cntRow.isNullAt(0)) 0L else cntRow.getLong(0)
-      val cpCnt = if (cntRow.isNullAt(1)) 0L else cntRow.getLong(1)
-      changeParts += joined.where(neq(col("value"), col("__np")))
-        .select(col("vid"), lit(i).as("iter"), col("value"))
-
-      diffPrev = diffCur
-      diffPrevCnt = dCnt
-      if (sys.env.contains("REPRO_VERBOSE2"))
-        Console.err.println(f"[diff-iter] i=$i%3d quiet=$quiet affected=$jCnt%6d d=$dCnt c=$cpCnt ms=${(System.nanoTime() - iterT0) / 1000000}%5d")
+      def prevValue(v: Long): Double = diffPrev.getOrElse(v, trace.valueAt(v, i - 1))
+      val diffCur = mutable.HashMap.empty[Long, Double]
+      var cpCnt = 0
+      affected.foreach { v =>
+        val msgs = inEdges(v).iterator.map(e => hooks.msg(prevValue(e.src), e.weight, e.srcdeg))
+        val agg =
+          if (!msgs.hasNext) None
+          else Some(if (program.aggIsMin) msgs.reduce((a, b) => math.min(a, b)) else msgs.sum)
+        val value = hooks.apply(v, agg)
+        if (neq(value, trace.valueAt(v, i))) diffCur(v) = value
+        if (neq(value, prevValue(v))) {
+          added.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += (i -> value)
+          cpCnt += 1
+        }
+        examinedAt.getOrElseUpdate(v, mutable.BitSet.empty) += i
+      }
+      work += affected.size
 
       // The stop rule (see the scaladoc for why it is sound).
-      done = cpCnt == 0 && (i > prev.lastIter || {
-        val (next, nextIn) =
-          if (dCnt == 0) (w, wEdgesIn)
-          else { val a = ckpt(examinedAfter(diffCur)); (a, edgesInto(a)) }
-        val region = fresh(next.select("vid")
-          .unionByName(nextIn.select(col("src").as("vid"))).distinct())
-        prev.trace.where(col("iter") >= i).join(broadcast(region), Seq("vid")).isEmpty
-      })
+      val next = examinedAfter(diffCur)
+      stop =
+        if (cpCnt > 0) None
+        else if (i > prev.lastIter) Some(Stop.PastHorizon)
+        else {
+          fetch(next)
+          val region = next.iterator ++ next.iterator.flatMap(v => inEdges(v).iterator.map(_.src))
+          if (region.forall(trace.lastChange(_) < i)) Some(Stop.TraceQuiet) else None
+        }
+      if (stop.isEmpty && i == cap) stop = Some(Stop.Cap)
+      iterStats += IterStat(i, affected.size, diffCur.size, cpCnt, fetched,
+                            (System.nanoTime() - iterT0) / 1000000)
+      fetched = 0
+      diffPrev = diffCur
+      affected = next
     }
 
     // ---- assemble result ------------------------------------------------
     val newFinal =
-      if (diffPrevCnt == 0) prev.finalState
-      else ckpt(
-        fresh(prev.finalState)
-          .join(broadcast(diffPrev.select(col("vid"), col("value").as("__fv"))),
-                Seq("vid"), "left")
-          .select(col("vid"), coalesce(col("__fv"), col("value")).as("value")))
+      if (diffPrev.isEmpty) prev.finalState
+      else {
+        val overrides = spark.sparkContext.broadcast(diffPrev.toMap)
+        ckpt(spark.createDataFrame(
+          prev.finalState.rdd.map { r =>
+            val v = r.getLong(0)
+            Row(v, overrides.value.getOrElse(v, r.getDouble(1)))
+          },
+          prev.finalState.schema))
+      }
+    val newTrace = trace.rewrite(examinedAt.map { case (v, its) =>
+      (v, its.contains _, added.get(v).fold(Seq.empty[(Int, Double)])(_.toSeq))
+    })
 
-    val affectedLog = ckpt(affectedLogParts.result().reduce(_ unionByName _))
-    val changes = changeParts.result().reduce(_ unionByName _)
-    val newTrace = ckpt(
-      fresh(prev.trace)
-        .join(affectedLog, Seq("vid", "iter"), "left_anti")
-        .unionByName(changes))
-    val lastRow = newTrace.agg(max(col("iter")).as("m")).collect()(0)
-    val newLast = if (lastRow.isNullAt(0)) 0 else lastRow.getInt(0)
-
-    RunResult(newFinal, newTrace, newLast, i, work)
+    RunResult(newFinal, newTrace, newTrace.lastIter, i, work, iterStats.result(), stop)
   }
 }

@@ -1,6 +1,6 @@
 package repro.diff
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Shared plumbing for the scratch and differential executors. */
@@ -43,18 +43,42 @@ object Engine {
   /** Result of running a program on one view.
     *
     * @param finalState converged `vid, value` frame
-    * @param trace      per-iteration change-points `vid, iter, value` —
-    *                   the DD difference representation of the iteration
-    *                   sequence (iteration-0 inits are implicit: they are
-    *                   computable from `initExpr`)
+    * @param trace      the arranged per-iteration change-points — the DD
+    *                   difference representation of the iteration sequence
+    *                   (iteration-0 inits are implicit: they are computable
+    *                   from `initExpr`)
     * @param lastIter   largest iteration with any change (trace horizon)
     * @param iterations number of iterations actually executed
     * @param workRows   Σ over executed iterations of recomputed-vertex
     *                   counts — the "computation footprint touched", used
     *                   by tests to prove sharing happens
+    * @param iterStats  per-iteration records of a differential replay
+    *                   (empty for scratch runs and SCC)
+    * @param stop       which branch of the replay's stop rule ended it
+    *                   (None when nothing was replayed)
     */
-  final case class RunResult(finalState: DataFrame, trace: DataFrame,
-                             lastIter: Int, iterations: Int, workRows: Long)
+  final case class RunResult(finalState: DataFrame, trace: Trace,
+                             lastIter: Int, iterations: Int, workRows: Long,
+                             iterStats: Seq[IterStat] = Nil, stop: Option[Stop] = None)
+
+  /** One replay iteration i: |A_i| (examined), |Diff_i| (diverged from the
+    * stored run), change-points written to the new trace, vertices whose
+    * edge slices were fetched (one Spark job per fetch; iteration 1 also
+    * counts the fetch that builds W), and wall ms.
+    */
+  final case class IterStat(iter: Int, examined: Int, diverged: Int, changePoints: Int,
+                            fetched: Int, millis: Long)
+
+  /** The branch of the stop rule that ended a replay. */
+  sealed trait Stop
+  object Stop {
+    /** Quiet at an iteration past the stored trace's horizon. */
+    case object PastHorizon extends Stop
+    /** Quiet, and the stored trace is frozen on the divergence region. */
+    case object TraceQuiet extends Stop
+    /** The iteration cap (`fixedIterations`, else `maxIterations`). */
+    case object Cap extends Stop
+  }
 
   /** Edges prepared for a program: symmetrized when undirected (directed
     * eids e map to 2e / 2e+1 so diffs stay keyed), with a `srcdeg` column
@@ -103,38 +127,5 @@ object Engine {
       spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
       StructType(Seq(StructField("vid", LongType), StructField("iter", IntegerType),
                      StructField("value", DoubleType))))
-  }
-
-  /** An empty `vid, value` state. */
-  def emptyState(spark: SparkSession): DataFrame = {
-    import org.apache.spark.sql.types._
-    spark.createDataFrame(
-      spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
-      StructType(Seq(StructField("vid", LongType), StructField("value", DoubleType))))
-  }
-
-  /** Stored states of the vertices in `s` at iterations `j` and `j-1` in a
-    * single trace pass: returns `vid, __sc` (value at j: the latest trace
-    * change ≤ j), `__sp` (value at j-1), each falling back to init. `s` must
-    * have a `vid` column and is assumed small (it is broadcast). The `-1`
-    * ordering sentinel keeps `max_by` away from null ordering values.
-    */
-  def storedPairAt(program: VertexProgram, trace: DataFrame, s: DataFrame,
-                   j: Int): DataFrame = {
-    val hits = fresh(
-      trace
-        .where(col("iter") <= j)
-        .join(broadcast(fresh(s.select("vid"))), Seq("vid"))
-        .groupBy("vid")
-        .agg(
-          max_by(col("value"), col("iter")).as("__tc"),
-          max_by(when(col("iter") <= j - 1, col("value")),
-                 coalesce(when(col("iter") <= j - 1, col("iter")), lit(-1))).as("__tp")))
-    fresh(
-      fresh(s.select("vid"))
-        .join(broadcast(hits), Seq("vid"), "left")
-        .select(col("vid"),
-                coalesce(col("__tc"), program.initExpr(col("vid")).cast("double")).as("__sc"),
-                coalesce(col("__tp"), program.initExpr(col("vid")).cast("double")).as("__sp")))
   }
 }

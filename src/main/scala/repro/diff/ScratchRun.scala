@@ -11,7 +11,8 @@ import VertexProgram.neq
   * as the paper notes: even a scratch run is a differential computation in
   * the iteration dimension. The run records a trace of per-iteration
   * change-points so that a later view can be maintained differentially
-  * against it.
+  * against it; the trace is arranged on the driver only when a later view
+  * first reads it.
   */
 object ScratchRun {
 
@@ -58,6 +59,6 @@ object ScratchRun {
       case Nil   => emptyTrace(spark)
       case parts => ckpt(parts.reduce(_ unionByName _))
     }
-    RunResult(prev, trace, lastIter, i, work)
+    RunResult(prev, Trace.fromFrame(trace, v => program.hooks.init(v)), lastIter, i, work)
   }
 }

@@ -19,8 +19,9 @@ import Engine._
   * deletions: an affected vertex recomputed from its current in-neighborhood
   * can move in either direction.
   *
-  * All hooks are Catalyst [[Column]] expressions, so both the scratch and
-  * differential executors stay entirely inside Spark SQL.
+  * All hooks are Catalyst [[Column]] expressions. The scratch executor runs
+  * them inside Spark SQL; the differential replay evaluates the same
+  * expressions on the driver ([[DriverHooks]]).
   */
 trait VertexProgram extends Analytic {
   /** state_0 and the apply() base for a vertex id column. */
@@ -56,6 +57,9 @@ trait VertexProgram extends Analytic {
   /** Aggregation column. */
   final def aggColumn(c: Column): Column = if (aggIsMin) min(c) else sum(c)
 
+  /** The hooks compiled for driver-side evaluation, built on first use. */
+  final lazy val hooks: DriverHooks = new DriverHooks(this)
+
   final override def prepareEdges(edges: DataFrame): DataFrame = ckpt(prepare(this, edges))
 
   final def fromScratch(spark: SparkSession, vertices: DataFrame,
@@ -68,13 +72,21 @@ trait VertexProgram extends Analytic {
 }
 
 object VertexProgram {
-  /** Value-inequality with a tolerance, null-safe, ∞-safe: the predicate
-    * that defines trace change-points and differential divergence.
+
+  /** Value-inequality with a 1e-9 tolerance: the predicate that defines
+    * trace change-points and differential divergence. Equal values —
+    * same-sign infinities and NaN against NaN included — are unchanged;
+    * NaN against a number is a change. The driver-side replay and the
+    * Spark-side scratch run use the two overloads, which must agree.
     */
-  def neq(a: Column, b: Column): Column = {
-    val bothNull = a.isNull && b.isNull
-    val oneNull  = a.isNull =!= b.isNull
-    val bothInf  = a === Double.PositiveInfinity && b === Double.PositiveInfinity
-    oneNull || (!bothNull && !bothInf && abs(a - b) > lit(1e-9))
-  }
+  def neq(a: Double, b: Double): Boolean =
+    if (a == b) false
+    else if (a.isNaN || b.isNaN) !(a.isNaN && b.isNaN)
+    else math.abs(a - b) > 1e-9
+
+  /** [[neq]] as a Catalyst predicate, also null-safe: null equals only
+    * null. Spark compares NaN equal to NaN, matching the driver overload.
+    */
+  def neq(a: Column, b: Column): Column =
+    !(a <=> b) && (a.isNull || b.isNull || isnan(a) || isnan(b) || abs(a - b) > lit(1e-9))
 }

@@ -40,8 +40,13 @@ class DifferentialRunSpec extends ReproSpec {
                               views: Int, addPerView: Int, delPerView: Int): Unit = {
     val rnd = new Random(seed)
     val init = TestGraphs.randomEdges(rnd, nV, nE)
-    val viewLists = TestGraphs.perturbationViews(rnd, nV, init, views, addPerView, delPerView)
-    val coll = TestGraphs.collectionFrom(spark, s"c$seed", viewLists)
+    checkViews(prog, s"c$seed", nV,
+               TestGraphs.perturbationViews(rnd, nV, init, views, addPerView, delPerView))
+  }
+
+  private def checkViews(prog: VertexProgram, name: String, nV: Int,
+                         viewLists: Seq[Seq[E]]): Unit = {
+    val coll = TestGraphs.collectionFrom(spark, name, viewLists)
     val run = CollectionExecutor.run(spark, prog, TestGraphs.vertices(spark, nV),
                                      coll, CollectionExecutor.DiffOnly, keepResults = true)
     for (t <- viewLists.indices) {
@@ -69,6 +74,18 @@ class DifferentialRunSpec extends ReproSpec {
     test(s"${prog.name} differential == reference on deletion-only collection") {
       checkCollection(prog, 31, nV = 30, nE = 120, views = 4, addPerView = 0, delPerView = 20)
     }
+  }
+
+  for (prog <- programs) {
+    test(s"${prog.name} differential == reference when a view deletes every edge and the next restores them") {
+      val edges = TestGraphs.randomEdges(new Random(37), 30, 90)
+      checkViews(prog, "wipe", 30, Vector(edges, Vector.empty, edges))
+    }
+  }
+
+  test("PageRank differential == reference on every view of a 21-view collection") {
+    checkCollection(PageRankProg(10), 71, nV = 35, nE = 100, views = 21,
+                    addPerView = 4, delPerView = 4)
   }
 
   test("empty difference set short-circuits (zero iterations)") {

@@ -65,9 +65,7 @@ class ScratchRunSpec extends ReproSpec {
     val prog  = Wcc()
     val prepared = Engine.prepare(prog, TestGraphs.edgesDF(spark, edges))
     val res = ScratchRun.run(spark, prog, TestGraphs.vertices(spark, nV), prepared)
-    val replayed = Engine
-      .storedPairAt(prog, res.trace, TestGraphs.vertices(spark, nV), res.lastIter)
-      .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    val replayed = (0L until nV).map(v => v -> res.trace.valueAt(v, res.lastIter)).toMap
     val fin = res.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     assert(replayed == fin)
   }

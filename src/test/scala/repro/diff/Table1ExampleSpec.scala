@@ -2,7 +2,7 @@ package repro.diff
 
 import org.apache.spark.sql.functions._
 import repro.{ReproSpec, TestGraphs}
-import repro.algorithms.Sssp
+import repro.algorithms.{Reference, Sssp}
 import repro.graph.GraphGen
 import repro.views.ViewCollection
 
@@ -14,7 +14,7 @@ class Table1ExampleSpec extends ReproSpec {
 
   private val zChain = 50
 
-  private def collection() = {
+  private def collection(zChain: Int = zChain) = {
     import spark.implicits._
     val g = GraphGen.bellmanFordExample(spark, zChain)
     val base = g.edges.select("eid", "src", "dst", "weight")
@@ -62,6 +62,28 @@ class Table1ExampleSpec extends ReproSpec {
       assert(s.ranDiff)
       assert(s.workRows <= 25,
              s"view ${s.t} touched ${s.workRows} vertex-iterations; expected a handful")
+    }
+  }
+
+  test("on a 300-vertex z-chain the replay stops on the trace query while the chain's trace runs on") {
+    val longChain = 300
+    val (g, coll) = collection(longChain)
+    val prog = Sssp(0L)
+    val verts = g.vertexIds
+    val vids = (0L until 4L + longChain).toSeq
+    def prepared(t: Int) = prog.prepareEdges(coll.viewEdges(t))
+    var run = prog.fromScratch(spark, verts, prepared(0))
+    assert(run.lastIter == longChain) // the stored trace changes until the chain's end
+    for (t <- 1 to 2) {
+      run = prog.advance(spark, verts, prepared(t), coll.diffsAt(t), run)
+      assert(run.stop.contains(Engine.Stop.TraceQuiet), s"view $t stopped by ${run.stop}")
+      assert(run.iterStats.size == run.iterations)
+      assert(run.workRows <= 25,
+             s"view $t touched ${run.workRows} vertex-iterations; expected a handful")
+      val got = run.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+      val edges = coll.viewEdges(t).select("src", "dst", "weight").collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
+      assert(got == Reference.bellmanFord(vids, edges, 0L), s"view $t")
     }
   }
 }

@@ -1,0 +1,60 @@
+package repro.diff
+
+import org.apache.spark.sql.functions.col
+import repro.{ReproSpec, TestGraphs}
+import repro.algorithms._
+import scala.util.Random
+
+/** The arranged trace a differential replay leaves behind must be the trace
+  * a scratch run of the same view records: the same value for every vertex
+  * at every iteration, not only the same final state. A later view replays
+  * against it, so an error at an intermediate iteration would surface only
+  * views later.
+  */
+class TraceSpec extends ReproSpec {
+
+  private def assertSameRun(diff: Engine.RunResult, scratch: Engine.RunResult, nV: Int,
+                            ctx: String): Unit = {
+    val horizon = math.max(diff.lastIter, scratch.lastIter) + 1
+    for (v <- 0L until nV; j <- 0 to horizon) {
+      val (x, y) = (diff.trace.valueAt(v, j), scratch.trace.valueAt(v, j))
+      assert(x == y || math.abs(x - y) < 1e-9, s"$ctx: vertex $v at iteration $j: $x vs $y")
+    }
+  }
+
+  for (prog <- Seq(Wcc(), Bfs(0L), Sssp(0L), PageRankProg(6)); seed <- Seq(11, 12, 31)) {
+    test(s"${prog.name} diff trace == scratch trace at every iteration (seed=$seed)") {
+      val rnd = new Random(seed)
+      val nV = 35
+      val init = TestGraphs.randomEdges(rnd, nV, 100)
+      val views = TestGraphs.perturbationViews(rnd, nV, init, 3, 8, 8)
+      val coll = TestGraphs.collectionFrom(spark, s"trace$seed", views)
+      val verts = TestGraphs.vertices(spark, nV)
+      def prepared(t: Int) = prog.prepareEdges(TestGraphs.edgesDF(spark, views(t)))
+
+      var run = prog.fromScratch(spark, verts, prepared(0))
+      for (t <- 1 until views.size) {
+        run = prog.advance(spark, verts, prepared(t), coll.diffsAt(t), run)
+        assertSameRun(run, prog.fromScratch(spark, verts, prepared(t)), nV, s"view $t")
+      }
+    }
+  }
+
+  test("neq agrees on the driver and in Spark over ±∞, NaN and the 1e-9 boundary") {
+    val inf = Double.PositiveInfinity
+    val nan = Double.NaN
+    // (a, b, changed)
+    val table = Seq(
+      (inf, inf, false), (-inf, -inf, false), (inf, -inf, true), (inf, 1.0, true),
+      (1.0, -inf, true), (nan, nan, false), (nan, 1.0, true), (1.0, nan, true),
+      (nan, inf, true), (0.0, 0.0, false), (-0.0, 0.0, false), (1.0, 1.0 + 5e-10, false),
+      (0.0, 1e-9, false), (0.0, 1.5e-9, true), (0.0, -1.5e-9, true), (2.0, 1.0, true))
+    import spark.implicits._
+    val inSpark = table.map(r => (r._1, r._2)).toDF("a", "b")
+      .select(VertexProgram.neq(col("a"), col("b"))).collect().map(_.getBoolean(0))
+    table.zip(inSpark).foreach { case ((a, b, changed), sparkSays) =>
+      assert(VertexProgram.neq(a, b) == changed, s"driver neq($a, $b)")
+      assert(sparkSays == changed, s"Spark neq($a, $b)")
+    }
+  }
+}
