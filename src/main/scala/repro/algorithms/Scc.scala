@@ -192,5 +192,5 @@ object Scc extends Analytic {
   /** SCC keeps no iteration trace: `advance` needs only the previous ids. */
   private def asRun(scc: DataFrame): RunResult =
     RunResult(scc.select(col("vid"), col("scc").cast("double").as("value")),
-              Trace.empty, 0, 0, 0L)
+              Trace.empty, 0, 0L)
 }

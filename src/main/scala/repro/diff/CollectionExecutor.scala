@@ -55,14 +55,13 @@ object CollectionExecutor {
     val results = Seq.newBuilder[Map[Long, Double]]
 
     for (t <- 0 until collection.numViews) {
-      val delta = ckpt(collection.diffsAt(t))
-      val deltaCnt = delta.count()
+      val (delta, deltaCnt) = ckptCounted(collection.diffsAt(t))
       val adds = fresh(delta.where(col("diff") > 0).select("eid", "src", "dst", "weight"))
       val dels = fresh(delta.where(col("diff") < 0).select("eid"))
-      currentEdges = ckpt(
+      val (edges, edgeCnt) = ckptCounted(
         if (currentEdges == null) adds
         else currentEdges.unionByName(adds).join(dels, Seq("eid"), "left_anti"))
-      val edgeCnt = currentEdges.count()
+      currentEdges = edges
 
       val prepared = program.prepareEdges(currentEdges)
 

@@ -56,12 +56,14 @@ object DifferentialRun {
   private final case class InEdge(src: Long, weight: Double, srcdeg: Long)
 
   def run(spark: SparkSession, program: VertexProgram, vertices: DataFrame,
-          preparedEdges: DataFrame, preparedDelta: DataFrame,
+          preparedEdges: DataFrame, delta: DataFrame,
           prev: RunResult): RunResult = {
 
-    val delta = preparedDelta.select("src", "dst").collect()
+    // The changed edges' endpoints, mirrored as the prepared edges are.
+    val changed = delta.select("src", "dst").collect()
       .map(r => (r.getLong(0), r.getLong(1)))
-    if (delta.isEmpty)
+    val pairs = if (program.undirected) changed ++ changed.map(_.swap) else changed
+    if (pairs.isEmpty)
       return prev.copy(iterations = 0, workRows = 0L, iterStats = Nil, stop = None)
 
     val hooks = program.hooks
@@ -92,8 +94,8 @@ object DifferentialRun {
     }
 
     // ---- perpetually-affected set W ------------------------------------
-    val deltaDsts = delta.map(_._2).toSet
-    val deltaSrcs = if (program.degreeDependent) delta.map(_._1).toSet else Set.empty[Long]
+    val deltaDsts = pairs.map(_._2).toSet
+    val deltaSrcs = if (program.degreeDependent) pairs.map(_._1).toSet else Set.empty[Long]
     fetch(deltaDsts ++ deltaSrcs)
     val w = deltaDsts ++ deltaSrcs.flatMap(outNbrs)
 
@@ -145,7 +147,7 @@ object DifferentialRun {
       val next = examinedAfter(diffCur)
       stop =
         if (cpCnt > 0) None
-        else if (i > prev.lastIter) Some(Stop.PastHorizon)
+        else if (i > trace.lastIter) Some(Stop.PastHorizon)
         else {
           fetch(next)
           val region = next.iterator ++ next.iterator.flatMap(v => inEdges(v).iterator.map(_.src))
@@ -175,6 +177,6 @@ object DifferentialRun {
       (v, its.contains _, added.get(v).fold(Seq.empty[(Int, Double)])(_.toSeq))
     })
 
-    RunResult(newFinal, newTrace, newTrace.lastIter, i, work, iterStats.result(), stop)
+    RunResult(newFinal, newTrace, i, work, iterStats.result(), stop)
   }
 }

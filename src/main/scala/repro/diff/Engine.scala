@@ -1,6 +1,6 @@
 package repro.diff
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Shared plumbing for the scratch and differential executors. */
@@ -46,19 +46,20 @@ object Engine {
     * @param trace      the arranged per-iteration change-points — the DD
     *                   difference representation of the iteration sequence
     *                   (iteration-0 inits are implicit: they are computable
-    *                   from `initExpr`)
-    * @param lastIter   largest iteration with any change (trace horizon)
+    *                   from `initExpr`); `trace.lastIter` is the horizon
     * @param iterations number of iterations actually executed
     * @param workRows   Σ over executed iterations of recomputed-vertex
     *                   counts — the "computation footprint touched", used
     *                   by tests to prove sharing happens
     * @param iterStats  per-iteration records of a differential replay
     *                   (empty for scratch runs and SCC)
-    * @param stop       which branch of the replay's stop rule ended it
-    *                   (None when nothing was replayed)
+    * @param stop       why the run ended: `Stop.Cap` when the iteration
+    *                   cap cut a scratch run or a replay short, else the
+    *                   replay's stop-rule branch; None when a scratch run
+    *                   went quiet or nothing ran (SCC, empty deltas)
     */
   final case class RunResult(finalState: DataFrame, trace: Trace,
-                             lastIter: Int, iterations: Int, workRows: Long,
+                             iterations: Int, workRows: Long,
                              iterStats: Seq[IterStat] = Nil, stop: Option[Stop] = None)
 
   /** One replay iteration i: |A_i| (examined), |Diff_i| (diverged from the
@@ -69,30 +70,30 @@ object Engine {
   final case class IterStat(iter: Int, examined: Int, diverged: Int, changePoints: Int,
                             fetched: Int, millis: Long)
 
-  /** The branch of the stop rule that ended a replay. */
+  /** Why a run ended: a branch of the replay's stop rule, or the cap. */
   sealed trait Stop
   object Stop {
     /** Quiet at an iteration past the stored trace's horizon. */
     case object PastHorizon extends Stop
     /** Quiet, and the stored trace is frozen on the divergence region. */
     case object TraceQuiet extends Stop
-    /** The iteration cap (`fixedIterations`, else `maxIterations`). */
+    /** The iteration cap (`fixedIterations`, else `maxIterations`), for a
+      * replay and a scratch run alike.
+      */
     case object Cap extends Stop
   }
 
-  /** Edges prepared for a program: symmetrized when undirected (directed
-    * eids e map to 2e / 2e+1 so diffs stay keyed), with a `srcdeg` column
-    * when degree-dependent.
+  /** Edges prepared for a program: `src, dst, weight, srcdeg`, mirrored
+    * when undirected; `srcdeg` is the source's out-degree when
+    * degree-dependent, else 1. The rows stay a multiset, so parallel edges
+    * still count.
     */
   def prepare(program: VertexProgram, edges: DataFrame): DataFrame = {
+    val directed = edges.select("src", "dst", "weight")
     val base =
-      if (!program.undirected) edges.select(col("eid") * 2, col("src"), col("dst"), col("weight"))
-        .toDF("eid", "src", "dst", "weight")
-      else
-        edges.select((col("eid") * 2).as("eid"), col("src"), col("dst"), col("weight"))
-          .unionByName(
-            edges.select((col("eid") * 2 + 1).as("eid"), col("dst").as("src"),
-                         col("src").as("dst"), col("weight")))
+      if (!program.undirected) directed
+      else directed.unionByName(
+        edges.select(col("dst").as("src"), col("src").as("dst"), col("weight")))
     if (!program.degreeDependent) base.withColumn("srcdeg", lit(1L))
     else {
       val deg = base.groupBy(col("src").as("__dv")).agg(count(lit(1)).as("srcdeg"))
@@ -100,32 +101,5 @@ object Engine {
         .drop("__dv")
         .withColumn("srcdeg", coalesce(col("srcdeg"), lit(1L)))
     }
-  }
-
-  /** Prepare a difference set the same way (keeps the `diff` column; no
-    * degree column — diffs only seed affected sets).
-    */
-  def prepareDelta(program: VertexProgram, delta: DataFrame): DataFrame =
-    if (!program.undirected)
-      delta.select((col("eid") * 2).as("eid"), col("src"), col("dst"),
-                   col("weight"), col("diff"))
-    else
-      delta.select((col("eid") * 2).as("eid"), col("src"), col("dst"),
-                   col("weight"), col("diff"))
-        .unionByName(
-          delta.select((col("eid") * 2 + 1).as("eid"), col("dst").as("src"),
-                       col("src").as("dst"), col("weight"), col("diff")))
-
-  /** state_0. */
-  def initialState(program: VertexProgram, vertices: DataFrame): DataFrame =
-    vertices.select(col("vid"), program.initExpr(col("vid")).cast("double").as("value"))
-
-  /** An empty `vid, iter, value` trace. */
-  def emptyTrace(spark: SparkSession): DataFrame = {
-    import org.apache.spark.sql.types._
-    spark.createDataFrame(
-      spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
-      StructType(Seq(StructField("vid", LongType), StructField("iter", IntegerType),
-                     StructField("value", DoubleType))))
   }
 }

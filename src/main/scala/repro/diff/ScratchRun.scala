@@ -2,6 +2,7 @@ package repro.diff
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
 import Engine._
 import VertexProgram.neq
 
@@ -9,19 +10,19 @@ import VertexProgram.neq
   *
   * "From scratch" still shares computation across *iterations* — exactly
   * as the paper notes: even a scratch run is a differential computation in
-  * the iteration dimension. The run records a trace of per-iteration
-  * change-points so that a later view can be maintained differentially
-  * against it; the trace is arranged on the driver only when a later view
-  * first reads it.
+  * the iteration dimension. Each iteration's change-points are collected to
+  * the driver and arranged into the run's [[Trace]], so that a later view
+  * can be maintained differentially against it. A run that the iteration
+  * cap ends before a quiet iteration reports `Stop.Cap`.
   */
 object ScratchRun {
 
   def run(spark: SparkSession, program: VertexProgram,
           vertices: DataFrame, preparedEdges: DataFrame): RunResult = {
-    val vcount = vertices.count()
-    var prev = ckpt(initialState(program, vertices))
-    val traceParts = Seq.newBuilder[DataFrame]
-    var lastIter = 0
+    val (init, vcount) = ckptCounted(
+      vertices.select(col("vid"), program.initExpr(col("vid")).cast("double").as("value")))
+    var prev = init
+    val changePoints = mutable.ArrayBuffer.empty[(Long, Int, Double)]
     var i = 0
     var work = 0L
     var done = false
@@ -41,24 +42,21 @@ object ScratchRun {
           .select(col("vid"),
                   program.applyExpr(program.initExpr(col("vid")).cast("double"),
                                     col("__agg")).cast("double").as("value")))
-      val (changes, cnt) = ckptCounted(
-        cur
-          .join(prev.select(col("vid").as("__pv"), col("value").as("__pval")),
-                col("vid") === col("__pv"))
-          .where(neq(col("value"), col("__pval")))
-          .select(col("vid"), lit(i).as("iter"), col("value")))
+      val changes = cur
+        .join(prev.select(col("vid").as("__pv"), col("value").as("__pval")),
+              col("vid") === col("__pv"))
+        .where(neq(col("value"), col("__pval")))
+        .select(col("vid"), col("value"))
+        .collect()
+      changes.foreach(r => changePoints += ((r.getLong(0), i, r.getDouble(1))))
       work += vcount // a scratch iteration touches every vertex
-      if (cnt > 0) { traceParts += changes; lastIter = i }
       prev = cur
       // A fixpoint iteration with no changes stays changeless forever —
       // valid for fixed-iteration programs too (the state is stationary).
-      if (cnt == 0) done = true
+      if (changes.isEmpty) done = true
     }
 
-    val trace = traceParts.result() match {
-      case Nil   => emptyTrace(spark)
-      case parts => ckpt(parts.reduce(_ unionByName _))
-    }
-    RunResult(prev, Trace.fromFrame(trace, v => program.hooks.init(v)), lastIter, i, work)
+    RunResult(prev, Trace(changePoints, program.hooks.init), i, work,
+              stop = if (done) None else Some(Stop.Cap))
   }
 }

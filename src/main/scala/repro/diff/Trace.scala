@@ -1,7 +1,5 @@
 package repro.diff
 
-import org.apache.spark.sql.DataFrame
-
 /** The arranged trace of a vertex program's run, held on the driver: for
   * every vertex that ever changed, its change-points in ascending iteration
   * order. It is DD's arrangement of the iteration dimension (McSherry et
@@ -11,17 +9,20 @@ import org.apache.spark.sql.DataFrame
   * examines, not to the trace's size.
   *
   * A vertex without a change-point at or before iteration j holds its
-  * initial value at j (iteration 0 is implicit).
+  * initial value at j (iteration 0 is implicit). The trace is arranged
+  * eagerly from its `(vid, iter, value)` change-points; both the scratch
+  * run and the replay build it on the driver, so it takes O(change-points)
+  * driver memory. `perIter` counts the change-points of each iteration, so
+  * the horizon survives a rewrite without a scan.
   */
-final class Trace private (build: () => Trace.Arranged, init: Long => Double) {
+final class Trace private (byVid: Map[Long, Trace.Changes], perIter: Map[Int, Int],
+                           init: Long => Double) {
   import Trace._
-
-  private lazy val arranged: Arranged = build()
 
   /** The value of `v` at iteration `j`: its latest change-point at or
     * before `j`, else its initial value.
     */
-  def valueAt(v: Long, j: Int): Double = arranged.byVid.get(v) match {
+  def valueAt(v: Long, j: Int): Double = byVid.get(v) match {
     case None => init(v)
     case Some(c) =>
       val k = java.util.Arrays.binarySearch(c.iters, j)
@@ -30,10 +31,10 @@ final class Trace private (build: () => Trace.Arranged, init: Long => Double) {
   }
 
   /** The iteration of `v`'s last change-point, 0 when it never changed. */
-  def lastChange(v: Long): Int = arranged.byVid.get(v).fold(0)(_.iters.last)
+  def lastChange(v: Long): Int = byVid.get(v).fold(0)(_.iters.last)
 
   /** The largest iteration with any change-point (0 for none). */
-  def lastIter: Int = arranged.perIter.keys.maxOption.getOrElse(0)
+  def lastIter: Int = perIter.keys.maxOption.getOrElse(0)
 
   /** This trace with the entries of the given vertices rewritten: for each
     * `(v, examined, added)`, the change-points of `v` at iterations in
@@ -41,24 +42,23 @@ final class Trace private (build: () => Trace.Arranged, init: Long => Double) {
     * in. The cost is proportional to the rewritten vertices' entries.
     */
   def rewrite(updates: Iterable[(Long, Int => Boolean, Seq[(Int, Double)])]): Trace = {
-    var byVid = arranged.byVid
-    var perIter = arranged.perIter
+    var nextByVid = byVid
+    var nextPerIter = perIter
     def count(iters: Iterable[Int], d: Int): Unit = iters.foreach { j =>
-      val n = perIter.getOrElse(j, 0) + d
-      perIter = if (n == 0) perIter - j else perIter.updated(j, n)
+      val n = nextPerIter.getOrElse(j, 0) + d
+      nextPerIter = if (n == 0) nextPerIter - j else nextPerIter.updated(j, n)
     }
     for ((v, examined, added) <- updates) {
-      val old = byVid.get(v).fold(Seq.empty[(Int, Double)])(c => c.iters.toSeq.zip(c.values))
+      val old = nextByVid.get(v).fold(Seq.empty[(Int, Double)])(c => c.iters.toSeq.zip(c.values))
       val kept = old.filterNot(cp => examined(cp._1))
       val merged = (kept ++ added).sortBy(_._1)
       count(old.map(_._1), -1)
       count(merged.map(_._1), 1)
-      byVid =
-        if (merged.isEmpty) byVid - v
-        else byVid.updated(v, Changes(merged.map(_._1).toArray, merged.map(_._2).toArray))
+      nextByVid =
+        if (merged.isEmpty) nextByVid - v
+        else nextByVid.updated(v, Changes(merged.map(_._1).toArray, merged.map(_._2).toArray))
     }
-    val next = Arranged(byVid, perIter)
-    new Trace(() => next, init)
+    new Trace(nextByVid, nextPerIter, init)
   }
 }
 
@@ -67,27 +67,20 @@ object Trace {
   /** One vertex's change-points: `iters` ascending, `values` aligned. */
   private final case class Changes(iters: Array[Int], values: Array[Double])
 
-  /** The index, and the number of change-points per iteration (so the
-    * trace horizon survives a rewrite without a scan).
+  /** Arrange `(vid, iter, value)` change-points, each vertex's by
+    * ascending iteration.
     */
-  private final case class Arranged(byVid: Map[Long, Changes], perIter: Map[Int, Int])
-
-  /** Arrange a `vid, iter, value` change-point frame, collecting it on
-    * first use — a run whose trace is never read issues no Spark job for it.
-    */
-  def fromFrame(changePoints: DataFrame, init: Long => Double): Trace =
-    new Trace(() => {
-      val rows = changePoints.select("vid", "iter", "value").collect()
-        .map(r => (r.getLong(0), r.getInt(1), r.getDouble(2)))
-      val byVid = rows.groupBy(_._1).map { case (v, cps) =>
-        val sorted = cps.sortBy(_._2)
+  def apply(changePoints: Iterable[(Long, Int, Double)], init: Long => Double): Trace =
+    new Trace(
+      changePoints.groupBy(_._1).map { case (v, cps) =>
+        val sorted = cps.toArray.sortBy(_._2)
         v -> Changes(sorted.map(_._2), sorted.map(_._3))
-      }
-      Arranged(byVid, rows.groupBy(_._2).map { case (j, cps) => j -> cps.length })
-    }, init)
+      },
+      changePoints.groupBy(_._2).map { case (j, cps) => j -> cps.size },
+      init)
 
   /** A trace without change-points and without initial values, for
     * analytics that keep no iteration trace (SCC): `valueAt` is NaN.
     */
-  val empty: Trace = new Trace(() => Arranged(Map.empty, Map.empty), _ => Double.NaN)
+  val empty: Trace = Trace(Nil, _ => Double.NaN)
 }

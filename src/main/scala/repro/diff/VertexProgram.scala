@@ -68,7 +68,7 @@ trait VertexProgram extends Analytic {
 
   final def advance(spark: SparkSession, vertices: DataFrame, preparedEdges: DataFrame,
                     delta: DataFrame, prev: RunResult): RunResult =
-    DifferentialRun.run(spark, this, vertices, preparedEdges, prepareDelta(this, delta), prev)
+    DifferentialRun.run(spark, this, vertices, preparedEdges, delta, prev)
 }
 
 object VertexProgram {

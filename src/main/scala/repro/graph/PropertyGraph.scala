@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Property-graph model (§2 of the paper).
@@ -48,9 +48,6 @@ final case class PropertyGraph(nodes: DataFrame, edges: DataFrame) {
       .drop("__sid", "__did")
   }
 
-  /** Number of vertices (distinct node ids). */
-  def numVertices: Long = nodes.count()
-
   /** Number of edges. */
   def numEdges: Long = edges.count()
 
@@ -67,29 +64,4 @@ final case class PropertyGraph(nodes: DataFrame, edges: DataFrame) {
     * consistent with the paper's per-vertex outputs).
     */
   def vertexIds: DataFrame = nodes.select(col("id").as("vid"))
-}
-
-object PropertyGraph {
-
-  /** Build a graph from raw edge tuples, synthesizing the node table from
-    * the endpoint set (ids get no properties). Mirrors importing a csv with
-    * no node property file.
-    */
-  def fromEdges(spark: SparkSession, edges: DataFrame): PropertyGraph = {
-    val nodes = edges
-      .select(col("src").as("id"))
-      .union(edges.select(col("dst").as("id")))
-      .distinct()
-    PropertyGraph(nodes, withEids(edges))
-  }
-
-  /** Assign unique, deterministic 64-bit edge ids if absent. */
-  def withEids(edges: DataFrame): DataFrame =
-    if (edges.columns.contains("eid")) edges
-    else {
-      val cols = edges.columns
-      edges
-        .withColumn("eid", monotonically_increasing_id())
-        .select(("eid" +: cols.toSeq).map(col): _*)
-    }
 }

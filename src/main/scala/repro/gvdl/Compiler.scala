@@ -14,34 +14,35 @@ import Ast._
 object Compiler {
 
   /** Compile a predicate for the resolved edge frame. */
-  def edgePredicate(e: Expr): Column = e match {
-    case PropRef(SrcT, p)  => col(s"src_$p")
-    case PropRef(DstT, p)  => col(s"dst_$p")
-    case PropRef(EdgeT, p) => col(p)
-    case NumLit(v)         => if (v == v.toLong) lit(v.toLong) else lit(v)
-    case StrLit(v)         => lit(v)
-    case BoolLit(v)        => lit(v)
-    case Cmp(op, l, r)     => cmp(op, edgePredicate(l), edgePredicate(r))
-    case And(l, r)         => edgePredicate(l) && edgePredicate(r)
-    case Or(l, r)          => edgePredicate(l) || edgePredicate(r)
-    case Not(x)            => !edgePredicate(x)
-  }
+  def edgePredicate(e: Expr): Column = compile(e, {
+    case (SrcT, p)  => col(s"src_$p")
+    case (DstT, p)  => col(s"dst_$p")
+    case (EdgeT, p) => col(p)
+  })
 
   /** Compile a node-level predicate (aggregate views): refs must be bare
     * node properties.
     */
-  def nodePredicate(e: Expr): Column = e match {
-    case PropRef(EdgeT, p) => col(p)
-    case PropRef(t, p) =>
+  def nodePredicate(e: Expr): Column = compile(e, {
+    case (EdgeT, p) => col(p)
+    case (t, p) =>
       throw new IllegalArgumentException(
         s"node predicate cannot reference $t.$p — use bare property names")
-    case NumLit(v)     => if (v == v.toLong) lit(v.toLong) else lit(v)
-    case StrLit(v)     => lit(v)
-    case BoolLit(v)    => lit(v)
-    case Cmp(op, l, r) => cmp(op, nodePredicate(l), nodePredicate(r))
-    case And(l, r)     => nodePredicate(l) && nodePredicate(r)
-    case Or(l, r)      => nodePredicate(l) || nodePredicate(r)
-    case Not(x)        => !nodePredicate(x)
+  })
+
+  /** Compile `e`, resolving property refs with `ref`. */
+  private def compile(e: Expr, ref: (Target, String) => Column): Column = {
+    def go(e: Expr): Column = e match {
+      case PropRef(t, p) => ref(t, p)
+      case NumLit(v)     => if (v == v.toLong) lit(v.toLong) else lit(v)
+      case StrLit(v)     => lit(v)
+      case BoolLit(v)    => lit(v)
+      case Cmp(op, l, r) => cmp(op, go(l), go(r))
+      case And(l, r)     => go(l) && go(r)
+      case Or(l, r)      => go(l) || go(r)
+      case Not(x)        => !go(x)
+    }
+    go(e)
   }
 
   private def cmp(op: String, l: Column, r: Column): Column = op match {

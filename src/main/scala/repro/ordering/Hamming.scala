@@ -1,6 +1,7 @@
 package repro.ordering
 
 import org.apache.spark.sql.DataFrame
+import repro.views.Ebm
 
 /** Pairwise Hamming distances between EBM view columns (Algorithm 1's
   * distributed phase).
@@ -28,7 +29,7 @@ object Hamming {
           var m = 0
           var j = 0
           while (j < k) {
-            if ((bits(j / 64) & (1L << (j % 64))) != 0L) { idx(m) = j; m += 1 }
+            if (Ebm.isSet(bits, j)) { idx(m) = j; m += 1 }
             j += 1
           }
           var a = 0

@@ -21,16 +21,8 @@ object DiffStream {
   def compute(ebm: DataFrame, order: Seq[Int]): DataFrame = {
     val ord = order.toArray
     val transitions = udf { (bits: Seq[Long]) =>
-      var prev = false
       val out = Seq.newBuilder[(Int, Int)]
-      var t = 0
-      while (t < ord.length) {
-        val j = ord(t)
-        val cur = (bits(j / 64) & (1L << (j % 64))) != 0L
-        if (cur != prev) out += ((t, if (cur) 1 else -1))
-        prev = cur
-        t += 1
-      }
+      scan(bits, ord)((t, d) => out += ((t, d)))
       out.result()
     }
     ebm
@@ -46,19 +38,25 @@ object DiffStream {
   def countDiffs(ebm: DataFrame, order: Seq[Int]): Long = {
     val ord = order.toArray
     val nTrans = udf { (bits: Seq[Long]) =>
-      var prev = false
       var c = 0
-      var t = 0
-      while (t < ord.length) {
-        val j = ord(t)
-        val cur = (bits(j / 64) & (1L << (j % 64))) != 0L
-        if (cur != prev) c += 1
-        prev = cur
-        t += 1
-      }
+      scan(bits, ord)((_, _) => c += 1)
       c
     }
     ebm.select(sum(nTrans(col("bits"))).as("n")).collect()(0).getLong(0)
+  }
+
+  /** Scan one EBM row's membership along `ord`, from an implicit leading 0,
+    * calling `flip(t, diff)` at every position t where it changes.
+    */
+  private def scan(bits: Seq[Long], ord: Array[Int])(flip: (Int, Int) => Unit): Unit = {
+    var prev = false
+    var t = 0
+    while (t < ord.length) {
+      val cur = Ebm.isSet(bits, ord(t))
+      if (cur != prev) flip(t, if (cur) 1 else -1)
+      prev = cur
+      t += 1
+    }
   }
 
   /** The diffs fed to DD when advancing to position t. */

@@ -47,6 +47,9 @@ object Ebm {
   def bitSet(bits: Column, j: Int): Column =
     bits.getItem(j / 64).bitwiseAND(lit(1L << (j % 64))) =!= 0L
 
+  /** Test bit j of one row's packed `bits`. */
+  def isSet(bits: Seq[Long], j: Int): Boolean = (bits(j / 64) & (1L << (j % 64))) != 0L
+
   /** Materialize view j (original index, before any reordering). */
   def viewEdges(ebm: DataFrame, j: Int): DataFrame =
     ebm.where(bitSet(col("bits"), j)).select("eid", "src", "dst", "weight")

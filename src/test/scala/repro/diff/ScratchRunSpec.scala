@@ -1,5 +1,7 @@
 package repro.diff
 
+import org.apache.spark.sql.Column
+import org.apache.spark.sql.functions._
 import repro.{ReproSpec, TestGraphs}
 import repro.TestGraphs.E
 import repro.algorithms._
@@ -11,12 +13,13 @@ import scala.util.Random
   */
 class ScratchRunSpec extends ReproSpec {
 
-  private def runProgram(prog: VertexProgram, nV: Int, edges: Seq[E]): Map[Long, Double] = {
-    val verts = TestGraphs.vertices(spark, nV)
+  private def scratch(prog: VertexProgram, nV: Int, edges: Seq[E]): Engine.RunResult = {
     val prepared = Engine.prepare(prog, TestGraphs.edgesDF(spark, edges))
-    val res = ScratchRun.run(spark, prog, verts, prepared)
-    res.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    ScratchRun.run(spark, prog, TestGraphs.vertices(spark, nV), prepared)
   }
+
+  private def runProgram(prog: VertexProgram, nV: Int, edges: Seq[E]): Map[Long, Double] =
+    scratch(prog, nV, edges).finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
 
   private def assertClose(got: Map[Long, Double], exp: Map[Long, Double]): Unit = {
     assert(got.keySet == exp.keySet, "vertex sets differ")
@@ -53,9 +56,11 @@ class ScratchRunSpec extends ReproSpec {
   }
 
   test("scratch run on an empty edge set leaves every vertex at init") {
-    val got = runProgram(Bfs(0L), 5, Nil)
+    val res = scratch(Bfs(0L), 5, Nil)
+    val got = res.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     assert(got(0L) == 0.0)
     (1L to 4L).foreach(v => assert(got(v).isInfinity))
+    assert(res.trace.lastIter == 0)
   }
 
   test("scratch trace replays to the final state") {
@@ -65,9 +70,37 @@ class ScratchRunSpec extends ReproSpec {
     val prog  = Wcc()
     val prepared = Engine.prepare(prog, TestGraphs.edgesDF(spark, edges))
     val res = ScratchRun.run(spark, prog, TestGraphs.vertices(spark, nV), prepared)
-    val replayed = (0L until nV).map(v => v -> res.trace.valueAt(v, res.lastIter)).toMap
+    val replayed = (0L until nV).map(v => v -> res.trace.valueAt(v, res.trace.lastIter)).toMap
     val fin = res.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     assert(replayed == fin)
+    assert(res.trace.lastIter == res.iterations - 1) // the last iteration was quiet
+  }
+
+  test("a run the iteration cap ends reports Cap, from scratch and differentially") {
+    // BFS from 0, capped at 3 iterations; a 7-vertex chain needs 6.
+    object CappedBfs extends VertexProgram {
+      val name = "BFS-cap3"
+      override def maxIterations: Int = 3
+      def initExpr(vid: Column): Column =
+        when(vid === 0L, 0.0).otherwise(Double.PositiveInfinity)
+      def msgExpr(srcValue: Column, weight: Column, srcDeg: Column): Column = srcValue + 1.0
+      val aggIsMin = true
+      def applyExpr(init: Column, agg: Column): Column =
+        least(init, coalesce(agg, lit(Double.PositiveInfinity)))
+    }
+    val chain = (0 until 6).map(i => E(i.toLong, i.toLong, i + 1L, 1.0))
+    val view1 = chain.tail :+ E(6L, 0L, 2L, 1.0) // 0→1 replaced by 0→2
+    val verts = TestGraphs.vertices(spark, 7)
+    val coll = TestGraphs.collectionFrom(spark, "capped", Seq(chain, view1))
+    def prepared(edges: Seq[E]) = CappedBfs.prepareEdges(TestGraphs.edgesDF(spark, edges))
+
+    val capped = CappedBfs.fromScratch(spark, verts, prepared(chain))
+    assert(capped.stop.contains(Engine.Stop.Cap), s"scratch stopped by ${capped.stop}")
+    assert(capped.iterations == 3)
+    val advanced = CappedBfs.advance(spark, verts, prepared(view1), coll.diffsAt(1), capped)
+    assert(advanced.stop.contains(Engine.Stop.Cap), s"replay stopped by ${advanced.stop}")
+    val settled = scratch(Bfs(0L), 7, chain)
+    assert(settled.stop.isEmpty, s"uncapped scratch stopped by ${settled.stop}")
   }
 
   test("parallel edges are honored as a multiset (PageRank)") {

@@ -73,7 +73,7 @@ class Table1ExampleSpec extends ReproSpec {
     val vids = (0L until 4L + longChain).toSeq
     def prepared(t: Int) = prog.prepareEdges(coll.viewEdges(t))
     var run = prog.fromScratch(spark, verts, prepared(0))
-    assert(run.lastIter == longChain) // the stored trace changes until the chain's end
+    assert(run.trace.lastIter == longChain) // the stored trace changes until the chain's end
     for (t <- 1 to 2) {
       run = prog.advance(spark, verts, prepared(t), coll.diffsAt(t), run)
       assert(run.stop.contains(Engine.Stop.TraceQuiet), s"view $t stopped by ${run.stop}")

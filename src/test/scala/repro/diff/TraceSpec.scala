@@ -15,7 +15,7 @@ class TraceSpec extends ReproSpec {
 
   private def assertSameRun(diff: Engine.RunResult, scratch: Engine.RunResult, nV: Int,
                             ctx: String): Unit = {
-    val horizon = math.max(diff.lastIter, scratch.lastIter) + 1
+    val horizon = math.max(diff.trace.lastIter, scratch.trace.lastIter) + 1
     for (v <- 0L until nV; j <- 0 to horizon) {
       val (x, y) = (diff.trace.valueAt(v, j), scratch.trace.valueAt(v, j))
       assert(x == y || math.abs(x - y) < 1e-9, s"$ctx: vertex $v at iteration $j: $x vs $y")

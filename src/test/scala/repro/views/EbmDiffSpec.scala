@@ -17,7 +17,7 @@ class EbmDiffSpec extends ReproSpec {
 
   test("EBM has one row per edge with packed bits") {
     assert(ebm.count() == graph.edges.count())
-    assert(ebm.select("bits").head.getSeq[Long](0).size == 1)
+    assert(ebm.select("bits").head().getSeq[Long](0).size == 1)
   }
 
   for ((p, j) <- predTexts.zipWithIndex) {
