@@ -2,7 +2,8 @@ package repro.algorithms
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.diff.{Analytic, Trace}
+import repro.diff.{Analytic, EdgeArrangement, Trace}
+import repro.diff.EdgeArrangement.Delta
 import repro.diff.Engine.RunResult
 
 /** Strongly connected components.
@@ -27,7 +28,8 @@ import repro.diff.Engine.RunResult
   *
   * SCC ids are canonicalized to the minimum member vid so results are
   * directly comparable with the Tarjan reference. As an [[Analytic]] it runs
-  * through [[repro.diff.CollectionExecutor]], with the ids as `value`.
+  * through [[repro.diff.CollectionExecutor]], with the ids as `value`, on a
+  * frame of the collection loop's edge arrangement.
   */
 object Scc extends Analytic {
 
@@ -179,18 +181,24 @@ object Scc extends Analytic {
     out.join(rep, Seq("scc")).select(col("vid"), col("__rep").as("scc")).transform(repro.diff.Engine.ckpt)
   }
 
-  def fromScratch(spark: SparkSession, vertices: DataFrame,
-                  preparedEdges: DataFrame): RunResult =
-    asRun(scratch(spark, vertices, preparedEdges))
+  def fromScratch(spark: SparkSession, vertices: Array[Long],
+                  edges: EdgeArrangement): RunResult = {
+    import spark.implicits._
+    asRun(scratch(spark, spark.sparkContext.parallelize(vertices.toSeq).toDF("vid"),
+                  edges.toFrame(spark)))
+  }
 
-  def advance(spark: SparkSession, vertices: DataFrame, preparedEdges: DataFrame,
-              delta: DataFrame, prev: RunResult): RunResult =
-    asRun(incremental(spark, preparedEdges,
-      delta.where(col("diff") < 0).select("src", "dst"),
-      prev.finalState.select(col("vid"), col("value").cast("long").as("scc"))))
+  def advance(spark: SparkSession, edges: EdgeArrangement, delta: Seq[Delta],
+              prev: RunResult): RunResult = {
+    import spark.implicits._
+    asRun(incremental(spark, edges.toFrame(spark),
+      delta.filter(_.diff < 0).map(d => (d.src, d.dst)).toDF("src", "dst"),
+      spark.sparkContext.parallelize(prev.finalState.toSeq.map { case (v, c) => (v, c.toLong) })
+        .toDF("vid", "scc")))
+  }
 
   /** SCC keeps no iteration trace: `advance` needs only the previous ids. */
   private def asRun(scc: DataFrame): RunResult =
-    RunResult(scc.select(col("vid"), col("scc").cast("double").as("value")),
+    RunResult(scc.collect().map(r => r.getLong(0) -> r.getLong(1).toDouble).toMap,
               Trace.empty, 0, 0L)
 }

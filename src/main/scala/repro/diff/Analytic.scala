@@ -1,6 +1,7 @@
 package repro.diff
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
+import EdgeArrangement.Delta
 import Engine.RunResult
 
 /** An analytic the collection loop ([[CollectionExecutor]]) can run on a
@@ -8,20 +9,16 @@ import Engine.RunResult
   * view's result with the view's difference set. Vertex programs advance
   * by trace replay ([[DifferentialRun]]); SCC by condensation.
   *
-  * Results are `vid, value` frames with a double `value`.
+  * Both take the view's edges as the collection loop's arrangement, already
+  * advanced to the view. Results are `vid → value` maps with a double
+  * `value`.
   */
 trait Analytic {
   def name: String
 
-  /** The view's edges in the form both runs consume. Runs outside the
-    * per-view timing, with edge maintenance.
-    */
-  def prepareEdges(edges: DataFrame): DataFrame = edges
+  def fromScratch(spark: SparkSession, vertices: Array[Long], edges: EdgeArrangement): RunResult
 
-  def fromScratch(spark: SparkSession, vertices: DataFrame,
-                  preparedEdges: DataFrame): RunResult
-
-  /** @param delta the view's difference set: `eid, src, dst, weight, diff` */
-  def advance(spark: SparkSession, vertices: DataFrame, preparedEdges: DataFrame,
-              delta: DataFrame, prev: RunResult): RunResult
+  /** @param delta the view's difference set, already applied to `edges` */
+  def advance(spark: SparkSession, edges: EdgeArrangement, delta: Seq[Delta],
+              prev: RunResult): RunResult
 }

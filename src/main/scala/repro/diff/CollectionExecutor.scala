@@ -1,19 +1,23 @@
 package repro.diff
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.views.ViewCollection
 import Engine._
 
 /** Analytics Computation Executor for view collections (§3.2.2 + §5).
   *
-  * Iterates over the collection's ordered views, maintains the current
-  * edge set E_t by applying difference sets, and runs the analytic on each
-  * view either differentially (advancing the previous view's result) or
-  * from scratch, according to the execution mode. Vertex programs and SCC
-  * both run through this one loop. Adaptive mode delegates the choice to
-  * [[SplittingOptimizer]]; a scratch run replaces the stored trace, which
-  * is exactly a collection split.
+  * Iterates over the collection's ordered views and runs the analytic on
+  * each view either differentially (advancing the previous view's result)
+  * or from scratch, according to the execution mode. Vertex programs and
+  * SCC both run through this one loop. Adaptive mode delegates the choice
+  * to [[SplittingOptimizer]]; a scratch run replaces the stored trace,
+  * which is exactly a collection split.
+  *
+  * The loop keeps one [[EdgeArrangement]] of the current view's edges E_t
+  * on the driver: built from δ_0 and advanced by each view's collected
+  * difference set, so edge maintenance costs O(|δ|) per view. A run issues
+  * one Spark job to collect the vertex ids and one per view to collect its
+  * difference set; vertex programs run on the driver and issue none.
   */
 object CollectionExecutor {
 
@@ -25,18 +29,27 @@ object CollectionExecutor {
   /** §5 adaptive splitting, deciding per batch of ℓ views. */
   final case class Adaptive(batch: Int = 1) extends Mode
 
-  /** Per-view execution record. */
+  /** Per-view execution record.
+    *
+    * @param millis         the analytic's run time
+    * @param viewEdges      |E_t| as a multiset of directed edges
+    * @param maintainMillis edge maintenance: collecting δ and applying it
+    *                       to the arrangement
+    * @param stop           why the view's run ended (see [[Engine.Stop]])
+    */
   final case class ViewStat(t: Int, viewName: String, ranDiff: Boolean,
                             millis: Long, viewEdges: Long, deltaEdges: Long,
-                            iterations: Int, workRows: Long)
+                            iterations: Int, workRows: Long,
+                            maintainMillis: Long = 0L, stop: Option[Stop] = None)
 
   /** Result: per-view stats and, if requested via `keepResults`, the final
-    * per-vertex state of each view (collected to the driver as
-    * vid → value maps — SCC ids come back as doubles, exact below 2^53).
+    * per-vertex state of each view as vid → value maps (SCC ids come back
+    * as doubles, exact below 2^53).
     */
   final case class CollectionRun(stats: Seq[ViewStat],
                                  results: Seq[Map[Long, Double]]) {
-    def totalMillis: Long = stats.map(_.millis).sum
+    /** Σ over views of run time plus edge maintenance. */
+    def totalMillis: Long = stats.map(s => s.millis + s.maintainMillis).sum
   }
 
   def run(spark: SparkSession, program: Analytic, vertices: DataFrame,
@@ -48,46 +61,39 @@ object CollectionExecutor {
       case _           => None
     }
 
-    val verts = ckpt(vertices)
-    var currentEdges: DataFrame = null // canonical (unsymmetrized) E_t
+    val verts = vertices.select("vid").collect().map(_.getLong(0))
+    val edges = new EdgeArrangement
     var state: RunResult = null
     val stats = Seq.newBuilder[ViewStat]
     val results = Seq.newBuilder[Map[Long, Double]]
 
     for (t <- 0 until collection.numViews) {
-      val (delta, deltaCnt) = ckptCounted(collection.diffsAt(t))
-      val adds = fresh(delta.where(col("diff") > 0).select("eid", "src", "dst", "weight"))
-      val dels = fresh(delta.where(col("diff") < 0).select("eid"))
-      val (edges, edgeCnt) = ckptCounted(
-        if (currentEdges == null) adds
-        else currentEdges.unionByName(adds).join(dels, Seq("eid"), "left_anti"))
-      currentEdges = edges
-
-      val prepared = program.prepareEdges(currentEdges)
+      val m0 = System.nanoTime()
+      val delta = EdgeArrangement.collect(collection.diffsAt(t))
+      edges.update(delta)
+      val maintainMs = (System.nanoTime() - m0) / 1000000
 
       val runDiff = state != null && (mode match {
         case DiffOnly    => true
         case ScratchOnly => false
-        case Adaptive(_) => optimizer.get.decide(t, edgeCnt, deltaCnt)
+        case Adaptive(_) => optimizer.get.decide(t, edges.size, delta.size)
       })
 
       val t0 = System.nanoTime()
       state =
-        if (runDiff) program.advance(spark, verts, prepared, delta, state)
-        else program.fromScratch(spark, verts, prepared)
+        if (runDiff) program.advance(spark, edges, delta, state)
+        else program.fromScratch(spark, verts, edges)
       val ms = (System.nanoTime() - t0) / 1000000
-      optimizer.foreach(_.observe(runDiff, if (runDiff) deltaCnt else edgeCnt, ms))
+      optimizer.foreach(_.observe(runDiff, if (runDiff) delta.size.toLong else edges.size, ms))
 
-      stats += ViewStat(t, collection.viewNames(t), runDiff, ms, edgeCnt,
-                        deltaCnt, state.iterations, state.workRows)
+      stats += ViewStat(t, collection.viewNames(t), runDiff, ms, edges.size, delta.size,
+                        state.iterations, state.workRows, maintainMs, state.stop)
       if (sys.env.contains("REPRO_VERBOSE"))
         Console.err.println(
           f"[exec] ${program.name}%-4s view=$t%3d mode=${if (runDiff) "diff" else "scratch"}%-7s " +
-          f"ms=$ms%6d |E|=$edgeCnt%7d |δ|=$deltaCnt%6d iters=${state.iterations}%3d work=${state.workRows}%8d")
-      if (keepResults) {
-        results += state.finalState.collect()
-          .map(r => r.getLong(0) -> r.getDouble(1)).toMap
-      }
+          f"ms=$ms%6d maint=$maintainMs%5d |E|=${edges.size}%7d |δ|=${delta.size}%6d " +
+          f"iters=${state.iterations}%3d work=${state.workRows}%8d")
+      if (keepResults) results += state.finalState
     }
     CollectionRun(stats.result(), results.result())
   }

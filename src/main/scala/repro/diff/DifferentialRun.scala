@@ -1,13 +1,12 @@
 package repro.diff
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
 import scala.collection.mutable
+import EdgeArrangement.Delta
 import Engine._
 import VertexProgram.neq
 
 /** Differentially maintain a program's run when advancing a collection to
-  * the next view (§3.2.2) — the Spark analog of DD "fixing the computation
+  * the next view (§3.2.2) — this repo's analog of DD "fixing the computation
   * footprint".
   *
   * Given the previous view's trace (per-iteration change-points), the new
@@ -42,61 +41,32 @@ import VertexProgram.neq
   * the locality of the change, not the trace length (the paper's z_jk
   * sharing argument).
   *
-  * The replay's state lives on the driver: the arranged trace, the
-  * frontier (W, A_i, Diff_i) and the edge slices of the vertices it has
-  * examined. Spark only fetches a vertex's in- and out-edges, once per
-  * view, the first time it is examined — at most one job per iteration and
-  * none on an iteration that reaches no new vertex. The program's hooks run
-  * on the driver through [[DriverHooks]]. Per-iteration cost therefore
-  * scales with the size of the computation-footprint difference, not |V|
-  * or |E| — the computation sharing the paper's Table 2 / Figure 6 measure.
+  * The replay runs on the driver, over the collection loop's
+  * [[EdgeArrangement]] already advanced to the view: the arranged trace,
+  * the frontier (W, A_i, Diff_i) and the edges are all driver-side, and a
+  * vertex is recomputed by the kernel the scratch run uses
+  * ([[VertexProgram.step]]). No iteration issues a Spark job. Per-iteration
+  * cost therefore scales with the size of the computation-footprint
+  * difference, not |V| or |E| — the computation sharing the paper's Table 2
+  * / Figure 6 measure.
   */
 object DifferentialRun {
 
-  private final case class InEdge(src: Long, weight: Double, srcdeg: Long)
-
-  def run(spark: SparkSession, program: VertexProgram, vertices: DataFrame,
-          preparedEdges: DataFrame, delta: DataFrame,
+  def run(program: VertexProgram, edges: EdgeArrangement, delta: Seq[Delta],
           prev: RunResult): RunResult = {
 
-    // The changed edges' endpoints, mirrored as the prepared edges are.
-    val changed = delta.select("src", "dst").collect()
-      .map(r => (r.getLong(0), r.getLong(1)))
+    // The changed edges' endpoints, mirrored as the program reads edges.
+    val changed = delta.map(d => (d.src, d.dst))
     val pairs = if (program.undirected) changed ++ changed.map(_.swap) else changed
     if (pairs.isEmpty)
       return prev.copy(iterations = 0, workRows = 0L, iterStats = Nil, stop = None)
 
-    val hooks = program.hooks
     val trace = prev.trace
-
-    // ---- edge slices of the view, fetched once per vertex ---------------
-    val inEdges  = mutable.HashMap.empty[Long, mutable.ArrayBuffer[InEdge]]
-    val outNbrs  = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
-    var fetched = 0 // vertices fetched since the last iteration record
-    def fetch(s: Iterable[Long]): Unit = {
-      val fresh = s.iterator.filterNot(inEdges.contains).toSet
-      if (fresh.nonEmpty) {
-        fresh.foreach { v =>
-          inEdges(v) = mutable.ArrayBuffer.empty
-          outNbrs(v) = mutable.ArrayBuffer.empty
-        }
-        val ids = fresh.toSeq
-        preparedEdges
-          .where(col("dst").isin(ids: _*) || col("src").isin(ids: _*))
-          .select("src", "dst", "weight", "srcdeg").collect()
-          .foreach { r =>
-            val (src, dst) = (r.getLong(0), r.getLong(1))
-            if (fresh(dst)) inEdges(dst) += InEdge(src, r.getDouble(2), r.getLong(3))
-            if (fresh(src)) outNbrs(src) += dst
-          }
-        fetched += fresh.size
-      }
-    }
+    def outNbrs(v: Long) = edges.outNbrs(v, program.undirected)
 
     // ---- perpetually-affected set W ------------------------------------
     val deltaDsts = pairs.map(_._2).toSet
     val deltaSrcs = if (program.degreeDependent) pairs.map(_._1).toSet else Set.empty[Long]
-    fetch(deltaDsts ++ deltaSrcs)
     val w = deltaDsts ++ deltaSrcs.flatMap(outNbrs)
 
     // Examined set of the iteration after one that diverged on `diff`: W,
@@ -121,19 +91,15 @@ object DifferentialRun {
     while (stop.isEmpty && i < cap) {
       i += 1
       val iterT0 = System.nanoTime()
-      fetch(affected)
 
       // Recompute affected vertices from their full current in-neighborhood
       // at states of iteration i-1 (stored ⊕ previous-iteration overrides).
-      def prevValue(v: Long): Double = diffPrev.getOrElse(v, trace.valueAt(v, i - 1))
+      val prevDiff = diffPrev
+      val prevValue: Long => Double = v => prevDiff.getOrElse(v, trace.valueAt(v, i - 1))
       val diffCur = mutable.HashMap.empty[Long, Double]
       var cpCnt = 0
       affected.foreach { v =>
-        val msgs = inEdges(v).iterator.map(e => hooks.msg(prevValue(e.src), e.weight, e.srcdeg))
-        val agg =
-          if (!msgs.hasNext) None
-          else Some(if (program.aggIsMin) msgs.reduce((a, b) => math.min(a, b)) else msgs.sum)
-        val value = hooks.apply(v, agg)
+        val value = program.step(edges, v, prevValue)
         if (neq(value, trace.valueAt(v, i))) diffCur(v) = value
         if (neq(value, prevValue(v))) {
           added.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += (i -> value)
@@ -149,30 +115,18 @@ object DifferentialRun {
         if (cpCnt > 0) None
         else if (i > trace.lastIter) Some(Stop.PastHorizon)
         else {
-          fetch(next)
-          val region = next.iterator ++ next.iterator.flatMap(v => inEdges(v).iterator.map(_.src))
+          val region = next.iterator ++ next.iterator.flatMap(edges.inNbrs(_, program.undirected))
           if (region.forall(trace.lastChange(_) < i)) Some(Stop.TraceQuiet) else None
         }
       if (stop.isEmpty && i == cap) stop = Some(Stop.Cap)
-      iterStats += IterStat(i, affected.size, diffCur.size, cpCnt, fetched,
+      iterStats += IterStat(i, affected.size, diffCur.size, cpCnt,
                             (System.nanoTime() - iterT0) / 1000000)
-      fetched = 0
       diffPrev = diffCur
       affected = next
     }
 
     // ---- assemble result ------------------------------------------------
-    val newFinal =
-      if (diffPrev.isEmpty) prev.finalState
-      else {
-        val overrides = spark.sparkContext.broadcast(diffPrev.toMap)
-        ckpt(spark.createDataFrame(
-          prev.finalState.rdd.map { r =>
-            val v = r.getLong(0)
-            Row(v, overrides.value.getOrElse(v, r.getDouble(1)))
-          },
-          prev.finalState.schema))
-      }
+    val newFinal = prev.finalState ++ diffPrev
     val newTrace = trace.rewrite(examinedAt.map { case (v, its) =>
       (v, its.contains _, added.get(v).fold(Seq.empty[(Int, Double)])(_.toSeq))
     })

@@ -8,10 +8,9 @@ import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 
 /** A [[VertexProgram]]'s Catalyst hooks evaluated on the driver, one record
-  * at a time. Each hook is analyzed once as a projection over an empty local
-  * relation and then evaluated by Catalyst's interpreter, so the driver runs
-  * exactly the expressions the Spark-side runs execute, with no query plan
-  * and no Spark job per call.
+  * at a time — the only place they are evaluated. Each hook is analyzed once
+  * as a projection over an empty local relation and then evaluated by
+  * Catalyst's interpreter, with no query plan and no Spark job per call.
   */
 final class DriverHooks(program: VertexProgram) {
 

@@ -1,9 +1,11 @@
 package repro.diff
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 
-/** Shared plumbing for the scratch and differential executors. */
+/** Shared plumbing: the record every [[Analytic]] run returns, and the
+  * frame helpers of the Spark-side code (collection building, SCC).
+  */
 object Engine {
 
   /** Re-alias every column (fresh exprIds). Iterative plans repeatedly
@@ -25,24 +27,19 @@ object Engine {
     * keeping every iteration's plan-size estimate bounded. It also assigns
     * fresh attribute ids, avoiding self-join ambiguity.
     */
-  def ckpt(df: DataFrame): DataFrame = ckptCounted(df)._1
-
-  /** [[ckpt]] that also returns the row count (free — materialization
-    * already counts), saving one action per loop iteration.
-    */
-  def ckptCounted(df: DataFrame): (DataFrame, Long) = {
+  def ckpt(df: DataFrame): DataFrame = {
     val rdd = df.rdd
     // RDD-level localCheckpoint truncates the lineage on materialization —
     // without it the DAGScheduler re-walks an ever-growing ancestry graph
     // on every job, so iteration latency creeps up across views.
     rdd.localCheckpoint()
-    val n = rdd.count()
-    (df.sparkSession.createDataFrame(rdd, df.schema), n)
+    rdd.count()
+    df.sparkSession.createDataFrame(rdd, df.schema)
   }
 
   /** Result of running a program on one view.
     *
-    * @param finalState converged `vid, value` frame
+    * @param finalState the converged state, `vid → value`, on the driver
     * @param trace      the arranged per-iteration change-points — the DD
     *                   difference representation of the iteration sequence
     *                   (iteration-0 inits are implicit: they are computable
@@ -58,17 +55,15 @@ object Engine {
     *                   replay's stop-rule branch; None when a scratch run
     *                   went quiet or nothing ran (SCC, empty deltas)
     */
-  final case class RunResult(finalState: DataFrame, trace: Trace,
+  final case class RunResult(finalState: Map[Long, Double], trace: Trace,
                              iterations: Int, workRows: Long,
                              iterStats: Seq[IterStat] = Nil, stop: Option[Stop] = None)
 
   /** One replay iteration i: |A_i| (examined), |Diff_i| (diverged from the
-    * stored run), change-points written to the new trace, vertices whose
-    * edge slices were fetched (one Spark job per fetch; iteration 1 also
-    * counts the fetch that builds W), and wall ms.
+    * stored run), change-points written to the new trace, and wall ms.
     */
   final case class IterStat(iter: Int, examined: Int, diverged: Int, changePoints: Int,
-                            fetched: Int, millis: Long)
+                            millis: Long)
 
   /** Why a run ended: a branch of the replay's stop rule, or the cap. */
   sealed trait Stop
@@ -81,25 +76,5 @@ object Engine {
       * replay and a scratch run alike.
       */
     case object Cap extends Stop
-  }
-
-  /** Edges prepared for a program: `src, dst, weight, srcdeg`, mirrored
-    * when undirected; `srcdeg` is the source's out-degree when
-    * degree-dependent, else 1. The rows stay a multiset, so parallel edges
-    * still count.
-    */
-  def prepare(program: VertexProgram, edges: DataFrame): DataFrame = {
-    val directed = edges.select("src", "dst", "weight")
-    val base =
-      if (!program.undirected) directed
-      else directed.unionByName(
-        edges.select(col("dst").as("src"), col("src").as("dst"), col("weight")))
-    if (!program.degreeDependent) base.withColumn("srcdeg", lit(1L))
-    else {
-      val deg = base.groupBy(col("src").as("__dv")).agg(count(lit(1)).as("srcdeg"))
-      base.join(deg, base("src") === deg("__dv"), "left")
-        .drop("__dv")
-        .withColumn("srcdeg", coalesce(col("srcdeg"), lit(1L)))
-    }
   }
 }

@@ -1,8 +1,8 @@
 package repro.diff
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import Engine._
+import org.apache.spark.sql.{Column, SparkSession}
+import EdgeArrangement.Delta
+import Engine.RunResult
 
 /** An iterative graph analytics program in Jacobi vertex-centric form —
   * the repo's analog of the paper's `graph_analytics` DD programs
@@ -19,9 +19,11 @@ import Engine._
   * deletions: an affected vertex recomputed from its current in-neighborhood
   * can move in either direction.
   *
-  * All hooks are Catalyst [[Column]] expressions. The scratch executor runs
-  * them inside Spark SQL; the differential replay evaluates the same
-  * expressions on the driver ([[DriverHooks]]).
+  * The hooks are Catalyst [[Column]] expressions, evaluated on the driver
+  * ([[DriverHooks]]). A scratch run ([[ScratchRun]]) and a differential
+  * replay ([[DifferentialRun]]) both compute a vertex's state with the one
+  * Jacobi kernel [[step]] over the collection loop's [[EdgeArrangement]]:
+  * scratch at every vertex, the replay only at the vertices it examines.
   */
 trait VertexProgram extends Analytic {
   /** state_0 and the apply() base for a vertex id column. */
@@ -54,21 +56,33 @@ trait VertexProgram extends Analytic {
   /** Safety cap for fixpoint programs. */
   def maxIterations: Int = 500
 
-  /** Aggregation column. */
-  final def aggColumn(c: Column): Column = if (aggIsMin) min(c) else sum(c)
-
   /** The hooks compiled for driver-side evaluation, built on first use. */
   final lazy val hooks: DriverHooks = new DriverHooks(this)
 
-  final override def prepareEdges(edges: DataFrame): DataFrame = ckpt(prepare(this, edges))
+  /** The Jacobi kernel: `v`'s state at iteration i over the view's edges,
+    * given every vertex's state at i−1 through `prev`. Edges are mirrored
+    * when [[undirected]]; `srcDeg` is the source's out-degree when
+    * [[degreeDependent]], else 1.
+    */
+  final def step(edges: EdgeArrangement, v: Long, prev: Long => Double): Double = {
+    var agg = if (aggIsMin) Double.PositiveInfinity else 0.0
+    var any = false
+    edges.foreachIn(v, undirected) { (src, weight) =>
+      val deg = if (degreeDependent) edges.outDegree(src, undirected).toLong else 1L
+      val m = hooks.msg(prev(src), weight, deg)
+      agg = if (aggIsMin) math.min(agg, m) else agg + m
+      any = true
+    }
+    hooks.apply(v, if (any) Some(agg) else None)
+  }
 
-  final def fromScratch(spark: SparkSession, vertices: DataFrame,
-                        preparedEdges: DataFrame): RunResult =
-    ScratchRun.run(spark, this, vertices, preparedEdges)
+  final def fromScratch(spark: SparkSession, vertices: Array[Long],
+                        edges: EdgeArrangement): RunResult =
+    ScratchRun.run(this, vertices, edges)
 
-  final def advance(spark: SparkSession, vertices: DataFrame, preparedEdges: DataFrame,
-                    delta: DataFrame, prev: RunResult): RunResult =
-    DifferentialRun.run(spark, this, vertices, preparedEdges, delta, prev)
+  final def advance(spark: SparkSession, edges: EdgeArrangement, delta: Seq[Delta],
+                    prev: RunResult): RunResult =
+    DifferentialRun.run(this, edges, delta, prev)
 }
 
 object VertexProgram {
@@ -76,17 +90,10 @@ object VertexProgram {
   /** Value-inequality with a 1e-9 tolerance: the predicate that defines
     * trace change-points and differential divergence. Equal values —
     * same-sign infinities and NaN against NaN included — are unchanged;
-    * NaN against a number is a change. The driver-side replay and the
-    * Spark-side scratch run use the two overloads, which must agree.
+    * NaN against a number is a change.
     */
   def neq(a: Double, b: Double): Boolean =
     if (a == b) false
     else if (a.isNaN || b.isNaN) !(a.isNaN && b.isNaN)
     else math.abs(a - b) > 1e-9
-
-  /** [[neq]] as a Catalyst predicate, also null-safe: null equals only
-    * null. Spark compares NaN equal to NaN, matching the driver overload.
-    */
-  def neq(a: Column, b: Column): Column =
-    !(a <=> b) && (a.isNull || b.isNull || isnan(a) || isnan(b) || abs(a - b) > lit(1e-9))
 }

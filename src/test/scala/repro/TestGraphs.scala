@@ -2,6 +2,7 @@ package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.util.Random
+import repro.diff.EdgeArrangement
 import repro.graph.PropertyGraph
 import repro.views.ViewCollection
 
@@ -69,6 +70,16 @@ object TestGraphs {
     }
     ViewCollection.fromExplicitDiffs(spark, name, perView)
   }
+
+  /** An edge list arranged as the collection loop arranges a view. */
+  def arrangement(edges: Seq[E]): EdgeArrangement = {
+    val a = new EdgeArrangement
+    a.update(edges.map(e => EdgeArrangement.Delta(e.eid, e.src, e.dst, e.w, 1)))
+    a
+  }
+
+  /** Vertex universe 0..nV-1 on the driver. */
+  def vertexIds(nV: Int): Array[Long] = Array.tabulate(nV)(_.toLong)
 
   /** Vertex-universe frame 0..nV-1. */
   def vertices(spark: SparkSession, nV: Int): DataFrame = {

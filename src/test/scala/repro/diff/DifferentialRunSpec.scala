@@ -133,6 +133,95 @@ class DifferentialRunSpec extends ReproSpec {
       assertClose(run.results(t), referenceFor(Sssp(0L), 5, viewLists(t)), s"view $t")
   }
 
+  // ---- adversarial shapes: every program in every mode, every view ------
+
+  /** Run every program over the views in diff-only, scratch-only and
+    * adaptive mode; each view's result must match the reference, and the
+    * diff-only result must match the scratch-only one.
+    */
+  private def checkAllModes(name: String, nV: Int, viewLists: Seq[Seq[E]]): Unit = {
+    val coll = TestGraphs.collectionFrom(spark, name, viewLists)
+    val verts = TestGraphs.vertices(spark, nV)
+    import CollectionExecutor.{Adaptive, DiffOnly, ScratchOnly}
+    for (prog <- programs) {
+      val Seq(diff, scratch, adaptive) = Seq(DiffOnly, ScratchOnly, Adaptive(1))
+        .map(m => CollectionExecutor.run(spark, prog, verts, coll, m, keepResults = true))
+      assert(diff.stats.drop(1).forall(_.ranDiff))
+      for (t <- viewLists.indices) {
+        val ctx = s"$name ${prog.name} view $t"
+        val exp = referenceFor(prog, nV, viewLists(t))
+        assertClose(diff.results(t), exp, s"$ctx diff-only")
+        assertClose(scratch.results(t), exp, s"$ctx scratch-only")
+        assertClose(adaptive.results(t), exp, s"$ctx adaptive")
+        assertClose(diff.results(t), scratch.results(t), s"$ctx diff vs scratch")
+      }
+    }
+  }
+
+  private def edges(es: (Long, Long, Double)*): Vector[E] =
+    es.zipWithIndex.map { case ((s, d, w), i) => E(i.toLong, s, d, w) }.toVector
+
+  test("parallel edges, one copy deleted per view, in every mode") {
+    val v0 = edges((0, 1, 2.0), (0, 1, 5.0), (1, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0),
+                   (0, 4, 1.0), (4, 3, 3.0), (3, 5, 1.0))
+    val v1 = v0.filterNot(e => e.eid == 0 || e.eid == 3) // the cheap 0→1, one 1→2
+    val v2 = v1.filterNot(_.eid == 1) :+ E(8, 1, 2, 1.0)  // last 0→1 gone, another 1→2
+    checkAllModes("parallel", 6, Vector(v0, v1, v2))
+  }
+
+  test("self-loops added and deleted, in every mode") {
+    val v0 = edges((0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0),
+                   (3, 3, 1.0), (3, 4, 1.0))
+    val v1 = v0.filterNot(_.eid == 2) ++ Vector(E(7, 4, 4, 1.0), E(8, 5, 5, 1.0))
+    val v2 = v1.filterNot(e => e.eid == 1 || e.eid == 8)
+    checkAllModes("selfloops", 6, Vector(v0, v1, v2))
+  }
+
+  test("a deleted (src, dst) re-added under a new eid, in every mode") {
+    val v0 = edges((0, 1, 4.0), (1, 2, 1.0), (0, 2, 9.0), (2, 3, 1.0), (3, 4, 1.0))
+    val v1 = v0.filterNot(_.eid == 1)
+    val v2 = v1 :+ E(10, 1, 2, 2.0)                           // re-added in a later view
+    val v3 = v2.filterNot(_.eid == 10) :+ E(11, 1, 2, 1.0)    // replaced within one view
+    checkAllModes("readd", 5, Vector(v0, v1, v2, v3))
+  }
+
+  test("a hub with degree ~|V| under PageRank, in every mode") {
+    val nV = 40
+    val rnd = new Random(43)
+    val out = (1 until nV).map(v => E(v - 1L, 0L, v.toLong, 1.0))
+    val in = (1 until nV).map(v => E(100L + v, v.toLong, 0L, 1.0))
+    val v0 = (out ++ in ++ TestGraphs.randomEdges(rnd, nV, 20, eidBase = 200)).toVector
+    val v1 = v0.filterNot(e => e.eid < 10) ++ TestGraphs.randomEdges(rnd, nV, 5, eidBase = 300)
+    val v2 = v1.filterNot(e => e.eid > 100 && e.eid <= 115) ++
+      (1 to 5).map(v => E(400L + v, 0L, v.toLong, 1.0))
+    checkAllModes("hub", nV, Vector(v0, v1, v2))
+  }
+
+  test("a view that cuts off the BFS/BF source, in every mode") {
+    val v0 = TestGraphs.randomEdges(new Random(47), 10, 30) ++
+      Vector(E(100, 0, 1, 1.0), E(101, 0, 2, 2.0), E(102, 3, 0, 1.0))
+    val v1 = v0.filterNot(_.src == 0L)
+    val v2 = v1 :+ E(103, 0, 5, 1.0)
+    checkAllModes("cutoff", 10, Vector(v0, v1, v2))
+  }
+
+  test("vertices with no in-edges, in every mode") {
+    // 0–2 are pure sources, 10 and 11 isolated; view 1 takes vertex 5's
+    // only in-edge, view 2 gives isolated vertex 10 one.
+    val v0 = edges((0, 3, 1.0), (1, 3, 2.0), (2, 4, 1.0), (3, 5, 1.0), (4, 6, 1.0),
+                   (6, 7, 1.0), (5, 8, 1.0), (8, 9, 1.0), (9, 6, 1.0))
+    val v1 = v0.filterNot(_.eid == 3)
+    val v2 = v1 :+ E(20, 9, 10, 1.0)
+    checkAllModes("noin", 12, Vector(v0, v1, v2))
+  }
+
+  test("WCC over a deleted edge whose reverse still exists, in every mode") {
+    val v0 = edges((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (2, 3, 1.0))
+    val v1 = v0.filterNot(e => e.eid == 0 || e.eid == 5) // 1→0 keeps {0,1}; 2→3 had no reverse
+    val v2 = v1.filterNot(_.eid == 1) :+ E(6, 3, 2, 1.0)  // 0 isolated; 3→2 rejoins {3,4}
+    checkAllModes("reverse", 6, Vector(v0, v1, v2))
+  }
+
   test("disjoint views (complete replacement) still produce correct results") {
     val rnd = new Random(53)
     val nV = 30

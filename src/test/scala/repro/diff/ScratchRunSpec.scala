@@ -13,13 +13,11 @@ import scala.util.Random
   */
 class ScratchRunSpec extends ReproSpec {
 
-  private def scratch(prog: VertexProgram, nV: Int, edges: Seq[E]): Engine.RunResult = {
-    val prepared = Engine.prepare(prog, TestGraphs.edgesDF(spark, edges))
-    ScratchRun.run(spark, prog, TestGraphs.vertices(spark, nV), prepared)
-  }
+  private def scratch(prog: VertexProgram, nV: Int, edges: Seq[E]): Engine.RunResult =
+    ScratchRun.run(prog, TestGraphs.vertexIds(nV), TestGraphs.arrangement(edges))
 
   private def runProgram(prog: VertexProgram, nV: Int, edges: Seq[E]): Map[Long, Double] =
-    scratch(prog, nV, edges).finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    scratch(prog, nV, edges).finalState
 
   private def assertClose(got: Map[Long, Double], exp: Map[Long, Double]): Unit = {
     assert(got.keySet == exp.keySet, "vertex sets differ")
@@ -57,7 +55,7 @@ class ScratchRunSpec extends ReproSpec {
 
   test("scratch run on an empty edge set leaves every vertex at init") {
     val res = scratch(Bfs(0L), 5, Nil)
-    val got = res.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    val got = res.finalState
     assert(got(0L) == 0.0)
     (1L to 4L).foreach(v => assert(got(v).isInfinity))
     assert(res.trace.lastIter == 0)
@@ -68,10 +66,9 @@ class ScratchRunSpec extends ReproSpec {
     val nV    = 30
     val edges = TestGraphs.randomEdges(rnd, nV, 90)
     val prog  = Wcc()
-    val prepared = Engine.prepare(prog, TestGraphs.edgesDF(spark, edges))
-    val res = ScratchRun.run(spark, prog, TestGraphs.vertices(spark, nV), prepared)
+    val res = ScratchRun.run(prog, TestGraphs.vertexIds(nV), TestGraphs.arrangement(edges))
     val replayed = (0L until nV).map(v => v -> res.trace.valueAt(v, res.trace.lastIter)).toMap
-    val fin = res.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    val fin = res.finalState
     assert(replayed == fin)
     assert(res.trace.lastIter == res.iterations - 1) // the last iteration was quiet
   }
@@ -90,14 +87,16 @@ class ScratchRunSpec extends ReproSpec {
     }
     val chain = (0 until 6).map(i => E(i.toLong, i.toLong, i + 1L, 1.0))
     val view1 = chain.tail :+ E(6L, 0L, 2L, 1.0) // 0→1 replaced by 0→2
-    val verts = TestGraphs.vertices(spark, 7)
+    val verts = TestGraphs.vertexIds(7)
     val coll = TestGraphs.collectionFrom(spark, "capped", Seq(chain, view1))
-    def prepared(edges: Seq[E]) = CappedBfs.prepareEdges(TestGraphs.edgesDF(spark, edges))
+    val edges = TestGraphs.arrangement(chain)
 
-    val capped = CappedBfs.fromScratch(spark, verts, prepared(chain))
+    val capped = CappedBfs.fromScratch(spark, verts, edges)
     assert(capped.stop.contains(Engine.Stop.Cap), s"scratch stopped by ${capped.stop}")
     assert(capped.iterations == 3)
-    val advanced = CappedBfs.advance(spark, verts, prepared(view1), coll.diffsAt(1), capped)
+    val delta = EdgeArrangement.collect(coll.diffsAt(1))
+    edges.update(delta)
+    val advanced = CappedBfs.advance(spark, edges, delta, capped)
     assert(advanced.stop.contains(Engine.Stop.Cap), s"replay stopped by ${advanced.stop}")
     val settled = scratch(Bfs(0L), 7, chain)
     assert(settled.stop.isEmpty, s"uncapped scratch stopped by ${settled.stop}")

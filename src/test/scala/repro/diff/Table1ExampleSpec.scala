@@ -69,18 +69,20 @@ class Table1ExampleSpec extends ReproSpec {
     val longChain = 300
     val (g, coll) = collection(longChain)
     val prog = Sssp(0L)
-    val verts = g.vertexIds
+    val verts = g.vertexIds.collect().map(_.getLong(0))
     val vids = (0L until 4L + longChain).toSeq
-    def prepared(t: Int) = prog.prepareEdges(coll.viewEdges(t))
-    var run = prog.fromScratch(spark, verts, prepared(0))
+    val arranged = new EdgeArrangement
+    def advanceEdges(t: Int) = { val d = EdgeArrangement.collect(coll.diffsAt(t)); arranged.update(d); d }
+    advanceEdges(0)
+    var run = prog.fromScratch(spark, verts, arranged)
     assert(run.trace.lastIter == longChain) // the stored trace changes until the chain's end
     for (t <- 1 to 2) {
-      run = prog.advance(spark, verts, prepared(t), coll.diffsAt(t), run)
+      run = prog.advance(spark, arranged, advanceEdges(t), run)
       assert(run.stop.contains(Engine.Stop.TraceQuiet), s"view $t stopped by ${run.stop}")
       assert(run.iterStats.size == run.iterations)
       assert(run.workRows <= 25,
              s"view $t touched ${run.workRows} vertex-iterations; expected a handful")
-      val got = run.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+      val got = run.finalState
       val edges = coll.viewEdges(t).select("src", "dst", "weight").collect()
         .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
       assert(got == Reference.bellmanFord(vids, edges, 0L), s"view $t")

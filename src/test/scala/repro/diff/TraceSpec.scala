@@ -1,6 +1,5 @@
 package repro.diff
 
-import org.apache.spark.sql.functions.col
 import repro.{ReproSpec, TestGraphs}
 import repro.algorithms._
 import scala.util.Random
@@ -29,18 +28,21 @@ class TraceSpec extends ReproSpec {
       val init = TestGraphs.randomEdges(rnd, nV, 100)
       val views = TestGraphs.perturbationViews(rnd, nV, init, 3, 8, 8)
       val coll = TestGraphs.collectionFrom(spark, s"trace$seed", views)
-      val verts = TestGraphs.vertices(spark, nV)
-      def prepared(t: Int) = prog.prepareEdges(TestGraphs.edgesDF(spark, views(t)))
+      val verts = TestGraphs.vertexIds(nV)
+      val edges = TestGraphs.arrangement(views(0))
 
-      var run = prog.fromScratch(spark, verts, prepared(0))
+      var run = prog.fromScratch(spark, verts, edges)
       for (t <- 1 until views.size) {
-        run = prog.advance(spark, verts, prepared(t), coll.diffsAt(t), run)
-        assertSameRun(run, prog.fromScratch(spark, verts, prepared(t)), nV, s"view $t")
+        val delta = EdgeArrangement.collect(coll.diffsAt(t))
+        edges.update(delta)
+        run = prog.advance(spark, edges, delta, run)
+        assertSameRun(run, prog.fromScratch(spark, verts, TestGraphs.arrangement(views(t))), nV,
+                      s"view $t")
       }
     }
   }
 
-  test("neq agrees on the driver and in Spark over ±∞, NaN and the 1e-9 boundary") {
+  test("neq over ±∞, NaN and the 1e-9 boundary") {
     val inf = Double.PositiveInfinity
     val nan = Double.NaN
     // (a, b, changed)
@@ -49,12 +51,8 @@ class TraceSpec extends ReproSpec {
       (1.0, -inf, true), (nan, nan, false), (nan, 1.0, true), (1.0, nan, true),
       (nan, inf, true), (0.0, 0.0, false), (-0.0, 0.0, false), (1.0, 1.0 + 5e-10, false),
       (0.0, 1e-9, false), (0.0, 1.5e-9, true), (0.0, -1.5e-9, true), (2.0, 1.0, true))
-    import spark.implicits._
-    val inSpark = table.map(r => (r._1, r._2)).toDF("a", "b")
-      .select(VertexProgram.neq(col("a"), col("b"))).collect().map(_.getBoolean(0))
-    table.zip(inSpark).foreach { case ((a, b, changed), sparkSays) =>
-      assert(VertexProgram.neq(a, b) == changed, s"driver neq($a, $b)")
-      assert(sparkSays == changed, s"Spark neq($a, $b)")
+    table.foreach { case (a, b, changed) =>
+      assert(VertexProgram.neq(a, b) == changed, s"neq($a, $b)")
     }
   }
 }
