@@ -54,10 +54,18 @@ object Table2 {
     val cLarge = BenchUtil.perturbationCollection(spark, "C-large", edges, nV, views,
       addN = (nE * 0.20).toInt, delN = (nE * 0.15).toInt, seed = 202)
 
-    val cells = for {
+    val grid = for {
       (cName, coll) <- Seq("small" -> cSmall, "large" -> cLarge)
       (aName, prog) <- Seq("BF" -> Sssp(src), "PR" -> PageRankProg(10))
-    } yield {
+    } yield (cName, coll, aName, prog)
+
+    // Run the first cell once untimed, so that its timed runs do not pay
+    // the fresh JVM's JIT warm-up that later cells no longer pay.
+    val (_, coll0, _, prog0) = grid.head
+    CollectionExecutor.run(spark, prog0, verts, coll0, CollectionExecutor.DiffOnly)
+    CollectionExecutor.run(spark, prog0, verts, coll0, CollectionExecutor.ScratchOnly)
+
+    val cells = grid.map { case (cName, coll, aName, prog) =>
       val (d, dMs) = timed(CollectionExecutor.run(spark, prog, verts, coll, CollectionExecutor.DiffOnly))
       val (c, cMs) = timed(CollectionExecutor.run(spark, prog, verts, coll, CollectionExecutor.ScratchOnly))
       Cell(cName, aName, dMs, cMs, ratio(c, d)(_.workRows.toDouble), ratio(c, d)(_.millis.toDouble))

@@ -1,6 +1,5 @@
 package repro.diff
 
-import org.apache.spark.sql.SparkSession
 import EdgeArrangement.Delta
 import Engine.RunResult
 
@@ -10,15 +9,15 @@ import Engine.RunResult
   * by trace replay ([[DifferentialRun]]); SCC by condensation.
   *
   * Both take the view's edges as the collection loop's arrangement, already
-  * advanced to the view. Results are `vid → value` maps with a double
-  * `value`.
+  * advanced to the view, and run on the driver: every analytic, SCC
+  * included, reads the arrangement and issues no Spark job. Results are
+  * `vid → value` maps with a double `value`.
   */
 trait Analytic {
   def name: String
 
-  def fromScratch(spark: SparkSession, vertices: Array[Long], edges: EdgeArrangement): RunResult
+  def fromScratch(vertices: Array[Long], edges: EdgeArrangement): RunResult
 
   /** @param delta the view's difference set, already applied to `edges` */
-  def advance(spark: SparkSession, edges: EdgeArrangement, delta: Seq[Delta],
-              prev: RunResult): RunResult
+  def advance(edges: EdgeArrangement, delta: Seq[Delta], prev: RunResult): RunResult
 }

@@ -17,7 +17,8 @@ import Engine._
   * on the driver: built from δ_0 and advanced by each view's collected
   * difference set, so edge maintenance costs O(|δ|) per view. A run issues
   * one Spark job to collect the vertex ids and one per view to collect its
-  * difference set; vertex programs run on the driver and issue none.
+  * difference set; every analytic, SCC included, runs on the driver over
+  * the arrangement and issues none.
   */
 object CollectionExecutor {
 
@@ -81,8 +82,8 @@ object CollectionExecutor {
 
       val t0 = System.nanoTime()
       state =
-        if (runDiff) program.advance(spark, edges, delta, state)
-        else program.fromScratch(spark, verts, edges)
+        if (runDiff) program.advance(edges, delta, state)
+        else program.fromScratch(verts, edges)
       val ms = (System.nanoTime() - t0) / 1000000
       optimizer.foreach(_.observe(runDiff, if (runDiff) delta.size.toLong else edges.size, ms))
 

@@ -1,8 +1,7 @@
 package repro.diff
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types._
 import scala.collection.mutable
 
 /** The current view's edges, arranged on the driver: per vertex its
@@ -66,14 +65,6 @@ final class EdgeArrangement {
   /** `v`'s out-degree over the edges the program sees. */
   def outDegree(v: Long, undirected: Boolean): Int =
     outs.get(v).fold(0)(_.size) + (if (undirected) ins.get(v).fold(0)(_.size) else 0)
-
-  /** The arranged edges as an `eid, src, dst, weight` frame. */
-  def toFrame(spark: SparkSession): DataFrame = {
-    val rows = byEid.values.map(e => Row(e.eid, e.src, e.dst, e.weight)).toSeq
-    spark.createDataFrame(spark.sparkContext.parallelize(rows),
-      StructType(Seq("eid", "src", "dst").map(StructField(_, LongType, nullable = false)) :+
-                 StructField("weight", DoubleType, nullable = false)))
-  }
 }
 
 object EdgeArrangement {

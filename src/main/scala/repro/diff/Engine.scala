@@ -4,7 +4,8 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
 /** Shared plumbing: the record every [[Analytic]] run returns, and the
-  * frame helpers of the Spark-side code (collection building, SCC).
+  * frame helpers of the Spark-side code (collection building, aggregate
+  * views).
   */
 object Engine {
 
@@ -46,14 +47,16 @@ object Engine {
     *                   from `initExpr`); `trace.lastIter` is the horizon
     * @param iterations number of iterations actually executed
     * @param workRows   Σ over executed iterations of recomputed-vertex
-    *                   counts — the "computation footprint touched", used
-    *                   by tests to prove sharing happens
+    *                   counts (for SCC, of vertices its sweeps examine) —
+    *                   the "computation footprint touched", used by tests
+    *                   to prove sharing happens
     * @param iterStats  per-iteration records of a differential replay
     *                   (empty for scratch runs and SCC)
     * @param stop       why the run ended: `Stop.Cap` when the iteration
     *                   cap cut a scratch run or a replay short, else the
     *                   replay's stop-rule branch; None when a scratch run
-    *                   went quiet or nothing ran (SCC, empty deltas)
+    *                   went quiet, for SCC (which has no cap), or when
+    *                   nothing ran (empty deltas)
     */
   final case class RunResult(finalState: Map[Long, Double], trace: Trace,
                              iterations: Int, workRows: Long,

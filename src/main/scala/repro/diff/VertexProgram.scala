@@ -1,6 +1,6 @@
 package repro.diff
 
-import org.apache.spark.sql.{Column, SparkSession}
+import org.apache.spark.sql.Column
 import EdgeArrangement.Delta
 import Engine.RunResult
 
@@ -76,12 +76,10 @@ trait VertexProgram extends Analytic {
     hooks.apply(v, if (any) Some(agg) else None)
   }
 
-  final def fromScratch(spark: SparkSession, vertices: Array[Long],
-                        edges: EdgeArrangement): RunResult =
+  final def fromScratch(vertices: Array[Long], edges: EdgeArrangement): RunResult =
     ScratchRun.run(this, vertices, edges)
 
-  final def advance(spark: SparkSession, edges: EdgeArrangement, delta: Seq[Delta],
-                    prev: RunResult): RunResult =
+  final def advance(edges: EdgeArrangement, delta: Seq[Delta], prev: RunResult): RunResult =
     DifferentialRun.run(this, edges, delta, prev)
 }
 

@@ -15,7 +15,8 @@ import Lexer._
   *                 [NODES AGGREGATE agg (',' agg)*]
   *                 [EDGES AGGREGATE agg (',' agg)*]
   * viewdef    := '[' name ':' expr ']'
-  * agg        := fn '(' ('*' | operand) ')' AS ident
+  * agg        := COUNT '(' '*' ')' AS ident | fn '(' ident ')' AS ident
+  * fn         := COUNT | SUM | MIN | MAX | AVG
   * expr       := and (OR and)* ; and := unary (AND unary)*
   * unary      := NOT unary | '(' expr ')' | cmp
   * cmp        := operand (op operand)? ; op := = != < <= > >=
@@ -117,12 +118,16 @@ final class Parser(tokens: Vector[Token]) {
   }
 
   private def agg(): AggSpec = {
-    val fn = ident().toLowerCase
-    require(Set("count", "sum", "min", "max", "avg").contains(fn), s"unknown aggregate '$fn'")
+    val fn = cur match {
+      case Ident(s) if Set("count", "sum", "min", "max", "avg")(s.toLowerCase) =>
+        pos += 1; s.toLowerCase
+      case _ => fail("expected an aggregate function: count, sum, min, max or avg")
+    }
     expectSym("(")
     val arg = cur match {
-      case Sym("*") => pos += 1; None
-      case _        => Some(ident())
+      case Sym("*") if fn == "count" => pos += 1; None
+      case Sym("*")                  => fail(s"'$fn(*)' is not an aggregate; only count(*) is")
+      case _                         => Some(ident())
     }
     expectSym(")")
     expectKw("as")

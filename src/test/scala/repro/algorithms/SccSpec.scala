@@ -3,14 +3,21 @@ package repro.algorithms
 import repro.{ReproSpec, TestGraphs}
 import repro.TestGraphs.E
 import repro.diff.CollectionExecutor
+import repro.diff.CollectionExecutor.{Adaptive, DiffOnly, ScratchOnly}
+import repro.diff.EdgeArrangement.Delta
+import repro.diff.Engine.RunResult
 import scala.util.Random
 
 /** SCC: coloring-from-scratch and condensation-incremental vs Tarjan. */
 class SccSpec extends ReproSpec {
 
-  private def sccSpark(nV: Int, edges: Seq[E]): Map[Long, Long] =
-    Scc.scratch(spark, TestGraphs.vertices(spark, nV), TestGraphs.edgesDF(spark, edges))
-      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+  private def ids(run: RunResult): Map[Long, Long] =
+    run.finalState.map { case (v, c) => v -> c.toLong }
+
+  private def scratch(nV: Int, edges: Seq[E]): RunResult =
+    Scc.fromScratch(TestGraphs.vertexIds(nV), TestGraphs.arrangement(edges))
+
+  private def sccScratch(nV: Int, edges: Seq[E]): Map[Long, Long] = ids(scratch(nV, edges))
 
   private def sccRef(nV: Int, edges: Seq[E]): Map[Long, Long] =
     Reference.scc((0L until nV).toSeq, edges.map(e => (e.src, e.dst)))
@@ -23,7 +30,7 @@ class SccSpec extends ReproSpec {
     // 0→1→2→0 and 3→4→3, bridge 2→3, tail 4→5.
     val edges = Seq((0L,1L),(1L,2L),(2L,0L),(3L,4L),(4L,3L),(2L,3L),(4L,5L))
       .zipWithIndex.map { case ((s,d), i) => E(i, s, d, 1.0) }
-    val got = sccSpark(6, edges)
+    val got = sccScratch(6, edges)
     assert(got == Map(0L->0L, 1L->0L, 2L->0L, 3L->3L, 4L->3L, 5L->5L))
   }
 
@@ -32,7 +39,7 @@ class SccSpec extends ReproSpec {
       val rnd = new Random(seed)
       val nV = 30 + rnd.nextInt(20)
       val edges = TestGraphs.randomEdges(rnd, nV, nV * 2)
-      assert(sccSpark(nV, edges) == sccRef(nV, edges))
+      assert(sccScratch(nV, edges) == sccRef(nV, edges))
     }
   }
 
@@ -43,30 +50,27 @@ class SccSpec extends ReproSpec {
       val s = 1 + rnd.nextInt(29)
       E(i, s.toLong, rnd.nextInt(s).toLong, 1.0)
     }
-    val got = sccSpark(30, edges)
+    val got = sccScratch(30, edges)
     assert(got == (0L until 30).map(v => v -> v).toMap)
   }
 
   test("incremental: additions that merge two SCCs") {
     val base = Seq((0L,1L),(1L,0L),(2L,3L),(3L,2L),(1L,2L))
       .zipWithIndex.map { case ((s,d), i) => E(i, s, d, 1.0) }
-    val prev = Scc.scratch(spark, TestGraphs.vertices(spark, 4), TestGraphs.edgesDF(spark, base))
+    val prev = scratch(4, base)
     val added = base :+ E(100, 3L, 0L, 1.0) // closes the big cycle
-    val got = Scc.incremental(spark, TestGraphs.edgesDF(spark, added),
-                              TestGraphs.edgesDF(spark, Nil), prev)
-      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val got = ids(Scc.advance(TestGraphs.arrangement(added), Seq(Delta(100, 3L, 0L, 1.0, 1)), prev))
     assert(got == Map(0L->0L, 1L->0L, 2L->0L, 3L->0L))
   }
 
   test("incremental: deletion that breaks an SCC") {
     val base = Seq((0L,1L),(1L,2L),(2L,0L),(2L,3L))
       .zipWithIndex.map { case ((s,d), i) => E(i, s, d, 1.0) }
-    val prev = Scc.scratch(spark, TestGraphs.vertices(spark, 4), TestGraphs.edgesDF(spark, base))
+    val prev = scratch(4, base)
     val remaining = base.filterNot(e => e.src == 1L && e.dst == 2L)
-    val got = Scc.incremental(spark, TestGraphs.edgesDF(spark, remaining),
-                              TestGraphs.edgesDF(spark, base.filter(e => e.src == 1L && e.dst == 2L)),
-                              prev)
-      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val got = ids(Scc.advance(TestGraphs.arrangement(remaining),
+      base.filter(e => e.src == 1L && e.dst == 2L).map(e => Delta(e.eid, e.src, e.dst, e.w, -1)),
+      prev))
     assert(got == sccRef(4, remaining))
   }
 
@@ -77,12 +81,15 @@ class SccSpec extends ReproSpec {
       val init = TestGraphs.randomEdges(rnd, nV, 60)
       val views = TestGraphs.perturbationViews(rnd, nV, init, 4, 10, 10)
       val coll = TestGraphs.collectionFrom(spark, s"scc$seed", views)
-      val run = CollectionExecutor.run(spark, Scc, TestGraphs.vertices(spark, nV),
-        coll, CollectionExecutor.DiffOnly, keepResults = true)
+      val verts = TestGraphs.vertices(spark, nV)
+      val run = CollectionExecutor.run(spark, Scc, verts, coll, DiffOnly, keepResults = true)
+      val adaptive = CollectionExecutor.run(spark, Scc, verts, coll, Adaptive(1), keepResults = true)
       assert(run.stats.head.ranDiff === false)
       run.stats.drop(1).foreach(s => assert(s.ranDiff))
-      for (t <- views.indices)
+      for (t <- views.indices) {
         assert(run.results(t) == asIds(sccRef(nV, views(t))), s"view $t")
+        assert(adaptive.results(t) == asIds(sccRef(nV, views(t))), s"adaptive view $t")
+      }
     }
   }
 
@@ -92,8 +99,40 @@ class SccSpec extends ReproSpec {
     val init = TestGraphs.randomEdges(rnd, nV, 60)
     val views = TestGraphs.perturbationViews(rnd, nV, init, 3, 8, 8)
     val coll = TestGraphs.collectionFrom(spark, "sccS", views)
-    val run = CollectionExecutor.run(spark, Scc, TestGraphs.vertices(spark, nV),
-      coll, CollectionExecutor.ScratchOnly, keepResults = true)
+    val verts = TestGraphs.vertices(spark, nV)
+    val run = CollectionExecutor.run(spark, Scc, verts, coll, ScratchOnly, keepResults = true)
+    val adaptive = CollectionExecutor.run(spark, Scc, verts, coll, Adaptive(1), keepResults = true)
+    for (t <- views.indices) {
+      assert(run.results(t) == asIds(sccRef(nV, views(t))), s"view $t")
+      assert(adaptive.results(t) == asIds(sccRef(nV, views(t))), s"adaptive view $t")
+    }
+  }
+
+  test("condensation examines fewer vertices than scratch when no SCC breaks") {
+    // Five 6-cycles; views 1 and 2 add only edges from a lower cycle to a
+    // higher one, so no cycle merges and none breaks.
+    val nV = 30
+    val cycles = (0 until nV).map(v => E(v, v, v / 6 * 6 + (v + 1) % 6, 1.0))
+    val rnd = new Random(61)
+    def forward(eidBase: Long): Seq[E] = (0 until 4).map { k =>
+      val i = rnd.nextInt(4)
+      val j = i + 1 + rnd.nextInt(4 - i)
+      E(eidBase + k, 6L * i + rnd.nextInt(6), 6L * j + rnd.nextInt(6), 1.0)
+    }
+    val v0 = cycles ++ forward(100)
+    val v1 = v0 ++ forward(200)
+    val v2 = v1 ++ forward(300)
+    val views = Vector(v0, v1, v2)
+    val coll = TestGraphs.collectionFrom(spark, "sccShare", views)
+    val run = CollectionExecutor.run(spark, Scc, TestGraphs.vertices(spark, nV), coll, DiffOnly,
+                                     keepResults = true)
+    val scratchWork = run.stats.head.workRows
+    run.stats.foreach(s => assert(s.iterations > 0 && s.workRows > 0, s"view ${s.t}"))
+    run.stats.drop(1).foreach { s =>
+      assert(s.ranDiff)
+      assert(s.workRows < scratchWork,
+             s"view ${s.t}: condensation examined ${s.workRows}, scratch $scratchWork")
+    }
     for (t <- views.indices)
       assert(run.results(t) == asIds(sccRef(nV, views(t))), s"view $t")
   }

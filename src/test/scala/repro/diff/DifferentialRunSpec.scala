@@ -8,11 +8,11 @@ import scala.util.Random
 /** The central correctness invariant of the reproduction: running a
   * collection differentially must produce, at every view, exactly the
   * result of running that view from scratch — for additions, deletions,
-  * and mixes, across all programs.
+  * and mixes, across all analytics, SCC included.
   */
 class DifferentialRunSpec extends ReproSpec {
 
-  private def referenceFor(prog: VertexProgram, nV: Int, edges: Seq[E]): Map[Long, Double] = {
+  private def referenceFor(prog: Analytic, nV: Int, edges: Seq[E]): Map[Long, Double] = {
     val verts = (0L until nV).toSeq
     val pairs = edges.map(e => (e.src, e.dst))
     prog match {
@@ -20,6 +20,7 @@ class DifferentialRunSpec extends ReproSpec {
       case Bfs(s)          => Reference.bfs(verts, pairs, s)
       case Sssp(s)         => Reference.bellmanFord(verts, edges.map(e => (e.src, e.dst, e.w)), s)
       case PageRankProg(k) => Reference.pageRank(verts, pairs, k)
+      case Scc             => Reference.scc(verts, pairs).map { case (v, c) => v -> c.toDouble }
       case other           => fail(s"no reference for ${other.name}")
     }
   }
@@ -36,7 +37,7 @@ class DifferentialRunSpec extends ReproSpec {
   /** Run a perturbation collection differentially and check every view
     * against the driver-side reference.
     */
-  private def checkCollection(prog: VertexProgram, seed: Int, nV: Int, nE: Int,
+  private def checkCollection(prog: Analytic, seed: Int, nV: Int, nE: Int,
                               views: Int, addPerView: Int, delPerView: Int): Unit = {
     val rnd = new Random(seed)
     val init = TestGraphs.randomEdges(rnd, nV, nE)
@@ -44,7 +45,7 @@ class DifferentialRunSpec extends ReproSpec {
                TestGraphs.perturbationViews(rnd, nV, init, views, addPerView, delPerView))
   }
 
-  private def checkViews(prog: VertexProgram, name: String, nV: Int,
+  private def checkViews(prog: Analytic, name: String, nV: Int,
                          viewLists: Seq[Seq[E]]): Unit = {
     val coll = TestGraphs.collectionFrom(spark, name, viewLists)
     val run = CollectionExecutor.run(spark, prog, TestGraphs.vertices(spark, nV),
@@ -58,7 +59,7 @@ class DifferentialRunSpec extends ReproSpec {
     run.stats.drop(1).foreach(s => assert(s.ranDiff, s"view ${s.t} should be differential"))
   }
 
-  val programs: Seq[VertexProgram] = Seq(Wcc(), Bfs(0L), Sssp(0L), PageRankProg(6))
+  val programs: Seq[Analytic] = Seq(Wcc(), Bfs(0L), Sssp(0L), PageRankProg(6), Scc)
 
   for (prog <- programs; seed <- Seq(11, 12)) {
     test(s"${prog.name} differential == reference on mixed add/remove collection (seed=$seed)") {

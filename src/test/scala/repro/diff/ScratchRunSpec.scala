@@ -91,12 +91,12 @@ class ScratchRunSpec extends ReproSpec {
     val coll = TestGraphs.collectionFrom(spark, "capped", Seq(chain, view1))
     val edges = TestGraphs.arrangement(chain)
 
-    val capped = CappedBfs.fromScratch(spark, verts, edges)
+    val capped = CappedBfs.fromScratch(verts, edges)
     assert(capped.stop.contains(Engine.Stop.Cap), s"scratch stopped by ${capped.stop}")
     assert(capped.iterations == 3)
     val delta = EdgeArrangement.collect(coll.diffsAt(1))
     edges.update(delta)
-    val advanced = CappedBfs.advance(spark, edges, delta, capped)
+    val advanced = CappedBfs.advance(edges, delta, capped)
     assert(advanced.stop.contains(Engine.Stop.Cap), s"replay stopped by ${advanced.stop}")
     val settled = scratch(Bfs(0L), 7, chain)
     assert(settled.stop.isEmpty, s"uncapped scratch stopped by ${settled.stop}")

@@ -74,10 +74,10 @@ class Table1ExampleSpec extends ReproSpec {
     val arranged = new EdgeArrangement
     def advanceEdges(t: Int) = { val d = EdgeArrangement.collect(coll.diffsAt(t)); arranged.update(d); d }
     advanceEdges(0)
-    var run = prog.fromScratch(spark, verts, arranged)
+    var run = prog.fromScratch(verts, arranged)
     assert(run.trace.lastIter == longChain) // the stored trace changes until the chain's end
     for (t <- 1 to 2) {
-      run = prog.advance(spark, arranged, advanceEdges(t), run)
+      run = prog.advance(arranged, advanceEdges(t), run)
       assert(run.stop.contains(Engine.Stop.TraceQuiet), s"view $t stopped by ${run.stop}")
       assert(run.iterStats.size == run.iterations)
       assert(run.workRows <= 25,

@@ -31,12 +31,12 @@ class TraceSpec extends ReproSpec {
       val verts = TestGraphs.vertexIds(nV)
       val edges = TestGraphs.arrangement(views(0))
 
-      var run = prog.fromScratch(spark, verts, edges)
+      var run = prog.fromScratch(verts, edges)
       for (t <- 1 until views.size) {
         val delta = EdgeArrangement.collect(coll.diffsAt(t))
         edges.update(delta)
-        run = prog.advance(spark, edges, delta, run)
-        assertSameRun(run, prog.fromScratch(spark, verts, TestGraphs.arrangement(views(t))), nV,
+        run = prog.advance(edges, delta, run)
+        assertSameRun(run, prog.fromScratch(verts, TestGraphs.arrangement(views(t))), nV,
                       s"view $t")
       }
     }

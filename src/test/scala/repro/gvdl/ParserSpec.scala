@@ -106,6 +106,12 @@ class ParserSpec extends AnyFunSuite {
       "create aggregate view x on G nodes group by a nodes aggregate median(b) as m"))
   }
 
+  test("sum(*) is rejected at the star, not at compile time") {
+    val e = intercept[IllegalArgumentException](Parser.parse(
+      "create aggregate view x on G nodes group by a nodes aggregate sum(*) as s"))
+    assert(e.getMessage.contains("parse error at token #") && e.getMessage.contains("sum(*)"))
+  }
+
   test("garbage after operand fails") {
     assertThrows[IllegalArgumentException](Parser.parse("create view x on"))
   }
