@@ -24,7 +24,7 @@ object AggregateView {
 
   def build(graph: PropertyGraph, stmt: Ast.CreateAggView): Result = {
     val nodesF = stmt.nodeWhere
-      .map(w => graph.nodes.where(Compiler.nodePredicate(w)))
+      .map(w => graph.nodes.where(Compiler.nodePredicate(w, graph.nodes.columns.toSeq)))
       .getOrElse(graph.nodes)
 
     val groupCols = stmt.groupBy.map(col)

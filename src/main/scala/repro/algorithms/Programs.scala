@@ -1,7 +1,5 @@
 package repro.algorithms
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
 import repro.diff.VertexProgram
 
 /** Weakly connected components: undirected min-label propagation.
@@ -11,11 +9,10 @@ import repro.diff.VertexProgram
 final case class Wcc() extends VertexProgram {
   val name = "WCC"
   override val undirected = true
-  def initExpr(vid: Column): Column = vid.cast("double")
-  def msgExpr(srcValue: Column, weight: Column, srcDeg: Column): Column = srcValue
+  def init(vid: Long): Double = vid.toDouble
+  def msg(value: Double, weight: Double, srcDeg: Long): Double = value
   val aggIsMin = true
-  def applyExpr(init: Column, agg: Column): Column =
-    least(init, coalesce(agg, lit(Double.PositiveInfinity)))
+  def combine(init: Double, agg: Double): Double = math.min(init, agg)
 }
 
 /** Breadth-first search from a fixed source: hop distances along out-edges.
@@ -25,25 +22,24 @@ final case class Wcc() extends VertexProgram {
   */
 final case class Bfs(source: Long) extends VertexProgram {
   val name = "BFS"
-  def initExpr(vid: Column): Column =
-    when(vid === source, 0.0).otherwise(Double.PositiveInfinity)
-  def msgExpr(srcValue: Column, weight: Column, srcDeg: Column): Column = srcValue + 1.0
+  def init(vid: Long): Double = if (vid == source) 0.0 else Double.PositiveInfinity
+  def msg(value: Double, weight: Double, srcDeg: Long): Double = value + 1.0
   val aggIsMin = true
-  def applyExpr(init: Column, agg: Column): Column =
-    least(init, coalesce(agg, lit(Double.PositiveInfinity)))
+  def combine(init: Double, agg: Double): Double = math.min(init, agg)
 }
 
 /** Bellman-Ford single-source shortest paths (the paper's BF running
   * example, §2): `state_i(v)` = weight of the cheapest path of ≤ i edges.
+  * Negative weights are supported. A negative cycle reachable from the
+  * source has no fixpoint: its vertices' values fall at every iteration
+  * until `maxIterations`, and the run reports `Stop.Cap`.
   */
 final case class Sssp(source: Long) extends VertexProgram {
   val name = "BF"
-  def initExpr(vid: Column): Column =
-    when(vid === source, 0.0).otherwise(Double.PositiveInfinity)
-  def msgExpr(srcValue: Column, weight: Column, srcDeg: Column): Column = srcValue + weight
+  def init(vid: Long): Double = if (vid == source) 0.0 else Double.PositiveInfinity
+  def msg(value: Double, weight: Double, srcDeg: Long): Double = value + weight
   val aggIsMin = true
-  def applyExpr(init: Column, agg: Column): Column =
-    least(init, coalesce(agg, lit(Double.PositiveInfinity)))
+  def combine(init: Double, agg: Double): Double = math.min(init, agg)
 }
 
 /** PageRank with damping 0.85, fixed iteration count, no dangling-mass
@@ -56,11 +52,10 @@ final case class PageRankProg(iters: Int = 10) extends VertexProgram {
   val name = "PR"
   override val degreeDependent = true
   override val fixedIterations = Some(iters)
-  def initExpr(vid: Column): Column = lit(0.15)
-  def msgExpr(srcValue: Column, weight: Column, srcDeg: Column): Column =
-    srcValue * 0.85 / srcDeg.cast("double")
+  def init(vid: Long): Double = 0.15
+  def msg(value: Double, weight: Double, srcDeg: Long): Double = value * 0.85 / srcDeg.toDouble
   val aggIsMin = false
-  def applyExpr(init: Column, agg: Column): Column = lit(0.15) + coalesce(agg, lit(0.0))
+  def combine(init: Double, agg: Double): Double = 0.15 + agg
 }
 
 /** Multiple-pair shortest paths (§7.1): the paper fixes src = the first

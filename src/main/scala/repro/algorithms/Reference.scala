@@ -2,10 +2,11 @@ package repro.algorithms
 
 import scala.collection.mutable
 
-/** Driver-side reference implementations used as correctness oracles for
-  * the distributed engine (graph fixpoints are not SQL queries, so the
-  * DuckDB oracle does not apply; these small, well-known algorithms play
-  * that role instead).
+/** Textbook reference implementations used as correctness oracles for the
+  * analytics' scratch runs and differential replays (graph fixpoints are
+  * not SQL queries, so the DuckDB oracle does not apply; these small,
+  * well-known algorithms play that role instead). They share no code with
+  * [[repro.diff.VertexProgram.step]] or [[Scc]].
   *
   * All take plain edge lists and a vertex universe and return per-vertex
   * results with semantics matching the corresponding [[VertexProgram]]
@@ -52,8 +53,9 @@ object Reference {
     dist.toMap
   }
 
-  /** Bellman-Ford shortest path weights from `source` (no negative edges
-    * in our workloads, but the relaxation handles them).
+  /** Bellman-Ford shortest path weights from `source`. Negative weights
+    * are handled; with a negative cycle reachable from `source` the result
+    * is whatever |V| + 1 relaxation rounds leave.
     */
   def bellmanFord(vertices: Seq[Long], edges: Seq[(Long, Long, Double)],
                   source: Long): Map[Long, Double] = {

@@ -43,8 +43,8 @@ object Engine {
     * @param finalState the converged state, `vid → value`, on the driver
     * @param trace      the arranged per-iteration change-points — the DD
     *                   difference representation of the iteration sequence
-    *                   (iteration-0 inits are implicit: they are computable
-    *                   from `initExpr`); `trace.lastIter` is the horizon
+    *                   (iteration-0 inits are implicit: they are the
+    *                   program's `init`); `trace.lastIter` is the horizon
     * @param iterations number of iterations actually executed
     * @param workRows   Σ over executed iterations of recomputed-vertex
     *                   counts (for SCC, of vertices its sweeps examine) —

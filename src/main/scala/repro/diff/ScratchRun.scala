@@ -12,14 +12,15 @@ import VertexProgram.neq
   * the replay's kernel ([[VertexProgram.step]]) over the view's
   * [[EdgeArrangement]] — the replay with A_i = V and no trace lookups — and
   * its change-points are arranged into the run's [[Trace]], so that a later
-  * view can be maintained differentially against it. The run is on the
-  * driver and issues no Spark job. A run that the iteration cap ends before
-  * a quiet iteration reports `Stop.Cap`.
+  * view can be maintained differentially against it; the trace answers
+  * iteration 0 and unchanged vertices with the program's `init`. The run
+  * is on the driver and issues no Spark job. A run that the iteration cap
+  * ends before a quiet iteration reports `Stop.Cap`.
   */
 object ScratchRun {
 
   def run(program: VertexProgram, vertices: Array[Long], edges: EdgeArrangement): RunResult = {
-    val init = program.hooks.init _
+    val init: Long => Double = program.init
     var state = mutable.LongMap.from(vertices.iterator.map(v => v -> init(v)))
     val changePoints = mutable.ArrayBuffer.empty[(Long, Int, Double)]
     var i = 0

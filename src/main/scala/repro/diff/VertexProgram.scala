@@ -1,6 +1,5 @@
 package repro.diff
 
-import org.apache.spark.sql.Column
 import EdgeArrangement.Delta
 import Engine.RunResult
 
@@ -10,8 +9,8 @@ import Engine.RunResult
   *
   * Semantics per iteration i ≥ 1 over the current view's edges E:
   * {{{
-  *   state_i(v) = apply( init(v),
-  *                       AGG_{(u,v) ∈ E} msg(state_{i-1}(u), w(u,v), deg(u)) )
+  *   state_i(v) = combine( init(v),
+  *                         AGG_{(u,v) ∈ E} msg(state_{i-1}(u), w(u,v), deg(u)) )
   * }}}
   * with `state_0 = init`. The Jacobi form (a vertex's new value depends on
   * its neighbors' previous values and its own *initial* value, never its own
@@ -19,28 +18,29 @@ import Engine.RunResult
   * deletions: an affected vertex recomputed from its current in-neighborhood
   * can move in either direction.
   *
-  * The hooks are Catalyst [[Column]] expressions, evaluated on the driver
-  * ([[DriverHooks]]). A scratch run ([[ScratchRun]]) and a differential
-  * replay ([[DifferentialRun]]) both compute a vertex's state with the one
-  * Jacobi kernel [[step]] over the collection loop's [[EdgeArrangement]]:
-  * scratch at every vertex, the replay only at the vertices it examines.
+  * The per-vertex logic is plain Scala, as the paper's DD programs write it
+  * as closures. A scratch run ([[ScratchRun]]) and a differential replay
+  * ([[DifferentialRun]]) both compute a vertex's state with the one Jacobi
+  * kernel [[step]] over the collection loop's [[EdgeArrangement]]: scratch
+  * at every vertex, the replay only at the vertices it examines.
   */
 trait VertexProgram extends Analytic {
-  /** state_0 and the apply() base for a vertex id column. */
-  def initExpr(vid: Column): Column
+  /** state_0(v), and the `init` that [[combine]] receives. */
+  def init(vid: Long): Double
 
-  /** Message along an edge; `srcDeg` is the source's out-degree in the
-    * current view (only meaningful when [[degreeDependent]]).
+  /** Message along an edge from a source holding `value`; `srcDeg` is the
+    * source's out-degree in the current view when [[degreeDependent]],
+    * else 1.
     */
-  def msgExpr(srcValue: Column, weight: Column, srcDeg: Column): Column
+  def msg(value: Double, weight: Double, srcDeg: Long): Double
 
   /** True → min-aggregation, false → sum-aggregation of messages. */
   def aggIsMin: Boolean
 
-  /** Combine init with the aggregated messages; `agg` is null for a vertex
-    * with no in-edges.
+  /** Combine init with the aggregated messages; a vertex with no in-edges
+    * gets the aggregation's identity (+∞ for min, 0 for sum).
     */
-  def applyExpr(init: Column, agg: Column): Column
+  def combine(init: Double, agg: Double): Double
 
   /** Messages depend on the source's out-degree (PageRank): an edge diff at
     * u perturbs *all* of u's messages — the instability §5 discusses.
@@ -56,9 +56,6 @@ trait VertexProgram extends Analytic {
   /** Safety cap for fixpoint programs. */
   def maxIterations: Int = 500
 
-  /** The hooks compiled for driver-side evaluation, built on first use. */
-  final lazy val hooks: DriverHooks = new DriverHooks(this)
-
   /** The Jacobi kernel: `v`'s state at iteration i over the view's edges,
     * given every vertex's state at i−1 through `prev`. Edges are mirrored
     * when [[undirected]]; `srcDeg` is the source's out-degree when
@@ -66,14 +63,12 @@ trait VertexProgram extends Analytic {
     */
   final def step(edges: EdgeArrangement, v: Long, prev: Long => Double): Double = {
     var agg = if (aggIsMin) Double.PositiveInfinity else 0.0
-    var any = false
     edges.foreachIn(v, undirected) { (src, weight) =>
       val deg = if (degreeDependent) edges.outDegree(src, undirected).toLong else 1L
-      val m = hooks.msg(prev(src), weight, deg)
+      val m = msg(prev(src), weight, deg)
       agg = if (aggIsMin) math.min(agg, m) else agg + m
-      any = true
     }
-    hooks.apply(v, if (any) Some(agg) else None)
+    combine(init(v), agg)
   }
 
   final def fromScratch(vertices: Array[Long], edges: EdgeArrangement): RunResult =

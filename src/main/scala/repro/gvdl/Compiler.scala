@@ -13,27 +13,40 @@ import Ast._
   */
 object Compiler {
 
-  /** Compile a predicate for the resolved edge frame. */
-  def edgePredicate(e: Expr): Column = compile(e, {
-    case (SrcT, p)  => col(s"src_$p")
-    case (DstT, p)  => col(s"dst_$p")
-    case (EdgeT, p) => col(p)
+  /** Compile a predicate for the resolved edge frame, whose columns are
+    * `columns`.
+    */
+  def edgePredicate(e: Expr, columns: Seq[String]): Column = compile(e, columns, {
+    case (SrcT, p)  => s"src_$p"
+    case (DstT, p)  => s"dst_$p"
+    case (EdgeT, p) => p
   })
 
-  /** Compile a node-level predicate (aggregate views): refs must be bare
-    * node properties.
+  /** Compile a node-level predicate (aggregate views) for a node frame
+    * whose columns are `columns`: refs must be bare node properties.
     */
-  def nodePredicate(e: Expr): Column = compile(e, {
-    case (EdgeT, p) => col(p)
+  def nodePredicate(e: Expr, columns: Seq[String]): Column = compile(e, columns, {
+    case (EdgeT, p) => p
     case (t, p) =>
       throw new IllegalArgumentException(
         s"node predicate cannot reference $t.$p — use bare property names")
   })
 
-  /** Compile `e`, resolving property refs with `ref`. */
-  private def compile(e: Expr, ref: (Target, String) => Column): Column = {
+  /** Compile `e`, resolving each property ref to a column name with `ref`.
+    * A ref to a column the frame lacks (compared case-insensitively, as
+    * Spark resolves columns by default) is an error that names it.
+    */
+  private def compile(e: Expr, columns: Seq[String],
+                      ref: (Target, String) => String): Column = {
     def go(e: Expr): Column = e match {
-      case PropRef(t, p) => ref(t, p)
+      case PropRef(t, p) =>
+        val c = ref(t, p)
+        if (!columns.exists(_.equalsIgnoreCase(c))) {
+          val name = t match { case SrcT => s"src.$p"; case DstT => s"dst.$p"; case EdgeT => p }
+          throw new IllegalArgumentException(
+            s"unknown property $name (no column $c; columns: ${columns.mkString(", ")})")
+        }
+        col(c)
       case NumLit(v)     => if (v == v.toLong) lit(v.toLong) else lit(v)
       case StrLit(v)     => lit(v)
       case BoolLit(v)    => lit(v)

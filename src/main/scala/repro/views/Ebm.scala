@@ -23,8 +23,10 @@ object Ebm {
     * view order.
     */
   def compute(graph: PropertyGraph, predicates: Seq[Ast.Expr]): DataFrame = {
-    val cols = predicates.map(Compiler.edgePredicate)
-    fromBoolColumns(graph.resolved, cols)
+    val resolved = graph.resolved
+    val columns = resolved.columns.toSeq
+    val cols = predicates.map(Compiler.edgePredicate(_, columns))
+    fromBoolColumns(resolved, cols)
       .select(col("eid"), col("src"), col("dst"),
               coalesce(col("weight"), lit(1.0)).as("weight"), col("bits"))
   }

@@ -15,7 +15,7 @@ object FilteredView {
   def materialize(graph: PropertyGraph, predicate: Ast.Expr): DataFrame = {
     val keep = graph.edges.columns.toSeq
     graph.resolved
-      .where(Compiler.edgePredicate(predicate))
+      .where(Compiler.edgePredicate(predicate, graph.resolved.columns.toSeq))
       .select(keep.map(org.apache.spark.sql.functions.col): _*)
   }
 

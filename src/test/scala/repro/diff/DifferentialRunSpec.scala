@@ -223,6 +223,29 @@ class DifferentialRunSpec extends ReproSpec {
     checkAllModes("reverse", 6, Vector(v0, v1, v2))
   }
 
+  test("negative weights without a negative cycle, in every mode") {
+    // The cycle 3→4→5→3 weighs 1; view 2's 1→3→4→5→1 weighs 0.
+    val v0 = edges((0, 1, 4.0), (0, 2, 2.0), (2, 1, -3.0), (1, 3, 2.0), (3, 4, -1.0),
+                   (2, 4, 5.0), (4, 5, 1.0), (5, 3, 1.0))
+    val v1 = v0.filterNot(_.eid == 2) :+ E(8, 0, 3, -2.0)
+    val v2 = v1.filterNot(_.eid == 8) :+ E(9, 5, 1, -2.0)
+    checkAllModes("negative", 7, Vector(v0, v1, v2))
+  }
+
+  test("a view that closes a negative cycle reachable from the source reports Cap") {
+    // View 2 adds 2→1 (−4), closing 1→2→1 of weight −3.
+    val v0 = edges((0, 1, 1.0), (1, 2, 1.0), (2, 3, -1.0), (3, 4, 2.0))
+    val v1 = v0 :+ E(4, 4, 1, 1.0)
+    val v2 = v1 :+ E(5, 2, 1, -4.0)
+    val coll = TestGraphs.collectionFrom(spark, "negcycle", Vector(v0, v1, v2))
+    for (mode <- Seq(CollectionExecutor.DiffOnly, CollectionExecutor.ScratchOnly)) {
+      val run = CollectionExecutor.run(spark, Sssp(0L), TestGraphs.vertices(spark, 5), coll, mode)
+      val stops = run.stats.map(_.stop)
+      assert(stops.last.contains(Engine.Stop.Cap), s"$mode: $stops")
+      assert(!stops.init.contains(Some(Engine.Stop.Cap)), s"$mode: $stops")
+    }
+  }
+
   test("disjoint views (complete replacement) still produce correct results") {
     val rnd = new Random(53)
     val nV = 30

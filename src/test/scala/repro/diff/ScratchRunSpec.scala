@@ -1,7 +1,5 @@
 package repro.diff
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
 import repro.{ReproSpec, TestGraphs}
 import repro.TestGraphs.E
 import repro.algorithms._
@@ -78,12 +76,10 @@ class ScratchRunSpec extends ReproSpec {
     object CappedBfs extends VertexProgram {
       val name = "BFS-cap3"
       override def maxIterations: Int = 3
-      def initExpr(vid: Column): Column =
-        when(vid === 0L, 0.0).otherwise(Double.PositiveInfinity)
-      def msgExpr(srcValue: Column, weight: Column, srcDeg: Column): Column = srcValue + 1.0
+      def init(vid: Long): Double = if (vid == 0L) 0.0 else Double.PositiveInfinity
+      def msg(value: Double, weight: Double, srcDeg: Long): Double = value + 1.0
       val aggIsMin = true
-      def applyExpr(init: Column, agg: Column): Column =
-        least(init, coalesce(agg, lit(Double.PositiveInfinity)))
+      def combine(init: Double, agg: Double): Double = math.min(init, agg)
     }
     val chain = (0 until 6).map(i => E(i.toLong, i.toLong, i + 1L, 1.0))
     val view1 = chain.tail :+ E(6L, 0L, 2L, 1.0) // 0→1 replaced by 0→2

@@ -17,7 +17,7 @@ class CompilerSpec extends ReproSpec {
   private def check(pred: String, where: String): Unit = {
     val flat = resolved.select("eid", "duration", "year",
                                "src_state", "dst_state", "src_profession", "dst_city")
-    val got = flat.where(Compiler.edgePredicate(Parser.parsePredicate(pred)))
+    val got = flat.where(Compiler.edgePredicate(Parser.parsePredicate(pred), flat.columns.toSeq))
       .select(col("eid").cast("string").as("eid"))
     Oracle.assertEquivalent(got,
       s"SELECT eid FROM edges WHERE $where", "edges" -> flat)
@@ -66,7 +66,16 @@ class CompilerSpec extends ReproSpec {
 
   test("node predicate rejects src./dst. references") {
     assertThrows[IllegalArgumentException] {
-      Compiler.nodePredicate(Parser.parsePredicate("src.state = 'CA'"))
+      Compiler.nodePredicate(Parser.parsePredicate("src.state = 'CA'"),
+                             graph.nodes.columns.toSeq)
     }
+  }
+
+  test("an unknown property is a named error, not a Spark AnalysisException") {
+    val e = intercept[IllegalArgumentException] {
+      FilteredView.fromGvdl(graph, "create view v on Calls edges where src.nosuch = 'CA'")
+    }
+    assert(e.getMessage.contains("unknown property src.nosuch"), e.getMessage)
+    assert(e.getMessage.contains("src_state"), e.getMessage)
   }
 }

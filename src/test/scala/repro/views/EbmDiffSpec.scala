@@ -23,7 +23,7 @@ class EbmDiffSpec extends ReproSpec {
   for ((p, j) <- predTexts.zipWithIndex) {
     test(s"EBM column $j matches direct predicate count ('$p')") {
       val direct = graph.resolved
-        .where(repro.gvdl.Compiler.edgePredicate(preds(j))).count()
+        .where(repro.gvdl.Compiler.edgePredicate(preds(j), graph.resolved.columns.toSeq)).count()
       assert(Ebm.viewEdges(ebm, j).count() == direct)
     }
   }
