@@ -59,7 +59,6 @@ object Table3 {
     val nV = math.max(200L, (8000 * s).toLong)
     val nE = math.max(1000L, (30000 * s).toLong)
     val g  = GraphGen.citationGraph(spark, nV, nE)
-    g.resolved.localCheckpoint(true)
     val src = BenchUtil.firstSource(g.edges)
     val verts = g.vertexIds
     val colls = collections(spark, g)

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.graph.{GraphGen, PropertyGraph}
+import repro.graph.GraphGen
 import repro.gvdl.Ast
 import repro.views.ViewCollection
 
@@ -32,13 +32,6 @@ object Table4 {
   def views(n: Int, k: Int): Seq[(String, Ast.Expr)] =
     subsets(n, k).map(s => (s.mkString("-"), removalPredicate(s)))
 
-  private def dataset(spark: SparkSession, name: String, nV: Long, nE: Long)
-      : (String, PropertyGraph) = {
-    val g = GraphGen.communityGraph(spark, nV, nE, nComm = 12)
-    g.resolved.localCheckpoint(true)
-    (name, g)
-  }
-
   def run(spark: SparkSession): Seq[String] = {
     BenchUtil.configure(spark)
     // A 252-view EBM is one projection with ~5000 sub-expressions;
@@ -53,10 +46,13 @@ object Table4 {
 
   private def runInner(spark: SparkSession): Seq[String] = {
     val s = BenchUtil.scale
+    def graph(nV: Long, nE: Long) = GraphGen.communityGraph(spark, nV, nE, nComm = 12)
     val datasets = Seq(
-      dataset(spark, "LJ-analog", (12000 * s).toLong max 500, (90000 * s).toLong max 2000),
-      dataset(spark, "WTC-analog", (6000 * s).toLong max 300, (45000 * s).toLong max 1000))
+      "LJ-analog" -> graph((12000 * s).toLong max 500, (90000 * s).toLong max 2000),
+      "WTC-analog" -> graph((6000 * s).toLong max 300, (45000 * s).toLong max 1000))
     val configs = Seq(("10C5", 10, 5), ("7C4", 7, 4))
+    // Untimed: the first timed build would otherwise pay the fresh JVM's warm-up.
+    ViewCollection.build(datasets.last._2, "warm-up", views(7, 4), ViewCollection.GraphsurgeOrder)
 
     val out = Seq.newBuilder[String]
     out += "== Table 4: collection ordering — #Diffs and creation time (CCT) =="

@@ -1,12 +1,11 @@
 package repro.diff
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import scala.collection.mutable
 
 /** The current view's edges, arranged on the driver: per vertex its
   * in-edges and out-edges, kept up to date by applying each view's
-  * difference set. It is DD's shared arrangement of the edge collection
+  * difference set (driver rows, from `ViewCollection.deltas`). It is DD's
+  * shared arrangement of the edge collection
   * (McSherry et al., "Shared Arrangements", VLDB 2020) as a single Timely
   * worker holds it: every analytic of every view reads it, and advancing to
   * the next view costs O(|δ|), not O(|E|).
@@ -73,15 +72,6 @@ object EdgeArrangement {
     * deletion. An arranged edge is its addition row.
     */
   final case class Delta(eid: Long, src: Long, dst: Long, weight: Double, diff: Int)
-
-  /** Collect a difference set (`eid, src, dst, weight, diff`) to the driver:
-    * one Spark job.
-    */
-  def collect(delta: DataFrame): Seq[Delta] =
-    delta.select(col("eid").cast("long"), col("src").cast("long"), col("dst").cast("long"),
-                 col("weight").cast("double"), col("diff").cast("int"))
-      .collect().toSeq
-      .map(r => Delta(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3), r.getInt(4)))
 
   private def unlink(lists: mutable.LongMap[mutable.ArrayBuffer[Delta]], v: Long, eid: Long): Unit = {
     val es = lists(v)

@@ -28,7 +28,6 @@ final class Parser(tokens: Vector[Token]) {
   private var pos = 0
 
   private def cur: Token = tokens(pos)
-  private def advance(): Token = { val t = cur; pos += 1; t }
   private def fail(msg: String): Nothing =
     throw new IllegalArgumentException(s"parse error at token #$pos ($cur): $msg")
 
@@ -46,6 +45,10 @@ final class Parser(tokens: Vector[Token]) {
     case Ident(s) => pos += 1; s
     case _        => fail("expected identifier")
   }
+
+  /** `rule`'s result, if the rule consumed the whole input. */
+  def whole[A](rule: Parser => A): A =
+    rule(this) match { case a if cur == EOF => a; case _ => fail("expected end of input") }
 
   // ---------------------------------------------------------------- stmt
 
@@ -163,28 +166,26 @@ final class Parser(tokens: Vector[Token]) {
     }
   }
 
-  private def operand(): Expr = advance() match {
-    case Ident(s) if s.equalsIgnoreCase("true")  => BoolLit(true)
-    case Ident(s) if s.equalsIgnoreCase("false") => BoolLit(false)
-    case Ident(s) if (s.equalsIgnoreCase("src") || s.equalsIgnoreCase("dst")) && cur == Sym(".") =>
-      pos += 1
+  // Consumes a token only once it matched: `pos` never passes EOF.
+  private def operand(): Expr = cur match {
+    case Ident(s) if s.equalsIgnoreCase("true")  => pos += 1; BoolLit(true)
+    case Ident(s) if s.equalsIgnoreCase("false") => pos += 1; BoolLit(false)
+    case Ident(s) if Set("src", "dst")(s.toLowerCase) && tokens(pos + 1) == Sym(".") =>
+      pos += 2
       PropRef(if (s.equalsIgnoreCase("src")) SrcT else DstT, ident())
-    case Ident(s) => PropRef(EdgeT, s)
-    case Num(v)   => NumLit(v)
-    case Str(v)   => StrLit(v)
+    case Ident(s) => pos += 1; PropRef(EdgeT, s)
+    case Num(v)   => pos += 1; NumLit(v)
+    case Str(v)   => pos += 1; StrLit(v)
     case t        => fail(s"unexpected operand $t")
   }
 }
 
 object Parser {
-  /** Parse a full GVDL statement. */
-  def parse(input: String): Stmt = {
-    val p = new Parser(Lexer.tokenize(input))
-    val s = p.statement()
-    s
-  }
+  /** Parse a full GVDL statement; nothing may follow it. */
+  def parse(input: String): Stmt = new Parser(Lexer.tokenize(input)).whole(_.statement())
 
-  /** Parse a bare predicate expression (used by programmatic view specs). */
-  def parsePredicate(input: String): Expr =
-    new Parser(Lexer.tokenize(input)).expr()
+  /** Parse a bare predicate expression (used by programmatic view specs);
+    * nothing may follow it.
+    */
+  def parsePredicate(input: String): Expr = new Parser(Lexer.tokenize(input)).whole(_.expr())
 }

@@ -58,7 +58,4 @@ object DiffStream {
       t += 1
     }
   }
-
-  /** The diffs fed to DD when advancing to position t. */
-  def at(diffs: DataFrame, t: Int): DataFrame = diffs.where(col("t") === t)
 }

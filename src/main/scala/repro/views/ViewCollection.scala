@@ -2,6 +2,7 @@ package repro.views
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.diff.EdgeArrangement.Delta
 import repro.graph.PropertyGraph
 import repro.gvdl.{Ast, Parser}
 import repro.ordering.CollectionOrderer
@@ -29,8 +30,20 @@ final case class ViewCollection(
     ebm: Option[DataFrame],
     cct: ViewCollection.Cct) {
 
-  /** Difference set fed to the engine when advancing to position t. */
-  def diffsAt(t: Int): DataFrame = DiffStream.at(diffs, t)
+  /** The difference stream on the driver: `deltas()(t)` is δC_t (empty where
+    * view t equals view t−1), rows in the order a frame of position t alone
+    * collects in. One Spark job per call and no copy kept, so a collection
+    * that never runs analytics holds none on the driver.
+    */
+  def deltas(): IndexedSeq[Seq[Delta]] = {
+    val byT = IndexedSeq.fill(numViews)(Vector.newBuilder[Delta])
+    diffs.select(col("t").cast("int"), col("eid").cast("long"), col("src").cast("long"),
+                 col("dst").cast("long"), col("weight").cast("double"), col("diff").cast("int"))
+      .collect()
+      .foreach(r => byT(r.getInt(0)) +=
+        Delta(r.getLong(1), r.getLong(2), r.getLong(3), r.getDouble(4), r.getInt(5)))
+    byT.map(_.result())
+  }
 
   /** Materialize the view at execution position t (for tests/scratch). */
   def viewEdges(t: Int): DataFrame = ebm match {

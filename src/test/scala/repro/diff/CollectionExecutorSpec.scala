@@ -1,5 +1,6 @@
 package repro.diff
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{ReproSpec, TestGraphs}
 import repro.algorithms.{Bfs, Reference, Wcc}
 import scala.util.Random
@@ -47,6 +48,30 @@ class CollectionExecutorSpec extends ReproSpec {
     assert(a.stats.size == 4)
   }
 
+  test("a collection run's Spark jobs do not grow with its number of views") {
+    val (_, coll) = mkColl(64, nV = 25, views = 6, add = 4, del = 4)
+    assert(coll.numViews == 6)
+    val verts = TestGraphs.vertices(spark, 25)
+    val sc = spark.sparkContext
+    val counter = new JobCounter
+    sc.addSparkListener(counter)
+    try {
+      sc.setLocalProperty(JobCounter.Key, JobCounter.Counted)
+      try CollectionExecutor.run(spark, Wcc(), verts, coll, CollectionExecutor.DiffOnly)
+      finally sc.setLocalProperty(JobCounter.Key, null)
+      // The listener bus is asynchronous and FIFO: once the marker job's
+      // start is delivered, so is every job the run started.
+      sc.setLocalProperty(JobCounter.Key, JobCounter.Marker)
+      try sc.parallelize(Seq(1), 1).count()
+      finally sc.setLocalProperty(JobCounter.Key, null)
+      val deadline = System.nanoTime() + 60L * 1000000000L
+      while (!counter.flushed && System.nanoTime() < deadline) Thread.sleep(20)
+      assert(counter.flushed, "the listener bus never delivered the marker job")
+      // The vertex ids and the one read of the difference stream.
+      assert(counter.jobs >= 1 && counter.jobs <= 2, s"${counter.jobs} Spark jobs for 6 views")
+    } finally sc.removeSparkListener(counter)
+  }
+
   test("a GVDL-defined collection (inclusion chain) runs end to end") {
     val g = repro.graph.GraphGen.callGraph(spark, nV = 60, nE = 300)
     val coll = repro.views.ViewCollection.fromGvdl(g,
@@ -64,4 +89,25 @@ class CollectionExecutorSpec extends ReproSpec {
     assert(coll.totalDiffs ==
       g.resolved.where(org.apache.spark.sql.functions.col("duration") <= 34).count())
   }
+}
+
+/** Counts the Spark jobs started under the local property `Key = Counted`,
+  * and notes when a job tagged `Marker` starts.
+  */
+private final class JobCounter extends SparkListener {
+  @volatile var jobs = 0
+  @volatile var flushed = false
+
+  override def onJobStart(e: SparkListenerJobStart): Unit =
+    Option(e.properties).flatMap(p => Option(p.getProperty(JobCounter.Key))) match {
+      case Some(JobCounter.Counted) => jobs += 1
+      case Some(JobCounter.Marker)  => flushed = true
+      case _                        => ()
+    }
+}
+
+private object JobCounter {
+  val Key = "repro.test.jobCounter"
+  val Counted = "counted"
+  val Marker = "marker"
 }

@@ -90,7 +90,7 @@ class ScratchRunSpec extends ReproSpec {
     val capped = CappedBfs.fromScratch(verts, edges)
     assert(capped.stop.contains(Engine.Stop.Cap), s"scratch stopped by ${capped.stop}")
     assert(capped.iterations == 3)
-    val delta = EdgeArrangement.collect(coll.diffsAt(1))
+    val delta = coll.deltas()(1)
     edges.update(delta)
     val advanced = CappedBfs.advance(edges, delta, capped)
     assert(advanced.stop.contains(Engine.Stop.Cap), s"replay stopped by ${advanced.stop}")

@@ -72,7 +72,8 @@ class Table1ExampleSpec extends ReproSpec {
     val verts = g.vertexIds.collect().map(_.getLong(0))
     val vids = (0L until 4L + longChain).toSeq
     val arranged = new EdgeArrangement
-    def advanceEdges(t: Int) = { val d = EdgeArrangement.collect(coll.diffsAt(t)); arranged.update(d); d }
+    val deltas = coll.deltas()
+    def advanceEdges(t: Int) = { val d = deltas(t); arranged.update(d); d }
     advanceEdges(0)
     var run = prog.fromScratch(verts, arranged)
     assert(run.trace.lastIter == longChain) // the stored trace changes until the chain's end

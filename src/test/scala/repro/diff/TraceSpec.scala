@@ -31,9 +31,10 @@ class TraceSpec extends ReproSpec {
       val verts = TestGraphs.vertexIds(nV)
       val edges = TestGraphs.arrangement(views(0))
 
+      val deltas = coll.deltas()
       var run = prog.fromScratch(verts, edges)
       for (t <- 1 until views.size) {
-        val delta = EdgeArrangement.collect(coll.diffsAt(t))
+        val delta = deltas(t)
         edges.update(delta)
         run = prog.advance(edges, delta, run)
         assertSameRun(run, prog.fromScratch(verts, TestGraphs.arrangement(views(t))), nV,

@@ -116,6 +116,28 @@ class ParserSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](Parser.parse("create view x on"))
   }
 
+  test("a truncated predicate is a positioned parse error") {
+    for (in <- Seq("duration <=", "duration <= 8 and", "not")) {
+      val e = intercept[IllegalArgumentException](Parser.parsePredicate(in))
+      assert(e.getMessage.startsWith("parse error at token #"), s"'$in': ${e.getMessage}")
+    }
+    // A bad operand is reported at its own position, not the next token's.
+    val e = intercept[IllegalArgumentException](Parser.parsePredicate("duration <= )"))
+    assert(e.getMessage.startsWith("parse error at token #2 (Sym())"), e.getMessage)
+  }
+
+  test("trailing tokens are a positioned parse error, not dropped") {
+    val inputs = Seq[() => Any](
+      () => Parser.parsePredicate("duration <= 8 abd dst.x = 1"),
+      () => Parser.parse("create view v on g where duration <= 8 abd dst.x = 1"),
+      () => Parser.parse("create view collection c on g [a: duration <= 8], garbage"))
+    for (in <- inputs) {
+      val e = intercept[IllegalArgumentException](in())
+      assert(e.getMessage.startsWith("parse error at token #") &&
+             e.getMessage.contains("expected end of input"), e.getMessage)
+    }
+  }
+
   test("comparison operators all parse") {
     for (op <- Seq("=", "!=", "<", "<=", ">", ">=")) {
       Parser.parsePredicate(s"a $op 1") match {

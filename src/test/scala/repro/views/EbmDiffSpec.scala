@@ -1,9 +1,11 @@
 package repro.views
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, ReproSpec}
+import repro.{Oracle, ReproSpec, TestGraphs}
+import repro.diff.EdgeArrangement.Delta
 import repro.graph.GraphGen
 import repro.gvdl.Parser
+import scala.util.Random
 
 /** EBM (§3.2 step 1) and difference-stream (§3.2 step 3) semantics. */
 class EbmDiffSpec extends ReproSpec {
@@ -57,6 +59,39 @@ class EbmDiffSpec extends ReproSpec {
         .count()
       assert(mismatch == 0, s"view $t membership")
     }
+  }
+
+  /** `deltas()` is the stream: one bucket per position, holding the rows of
+    * that position in the order a frame of them alone collects in.
+    */
+  private def assertDeltasAreTheStream(coll: ViewCollection): IndexedSeq[Seq[Delta]] = {
+    val ds = coll.deltas()
+    assert(ds.size == coll.numViews)
+    assert(ds.map(_.size).sum == coll.totalDiffs)
+    for (t <- 0 until coll.numViews) {
+      val rows = coll.diffs.where(col("t") === t)
+        .select(col("eid").cast("long"), col("src").cast("long"), col("dst").cast("long"),
+                col("weight").cast("double"), col("diff").cast("int"))
+        .collect().toSeq
+        .map(r => Delta(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3), r.getInt(4)))
+      assert(ds(t) == rows, s"${coll.name} view $t")
+    }
+    ds
+  }
+
+  test("deltas() is the difference stream, position by position and in order") {
+    val gvdl = Seq(4, 1, 3, 0, 2).map(j => s"[p$j: ${predTexts(j)}]")
+      .mkString("create view collection c on Calls ", ", ", "")
+    val gvdlColl = ViewCollection.fromGvdl(graph, gvdl, ViewCollection.GraphsurgeOrder)
+    assert(gvdlColl.order != gvdlColl.order.sorted, "the Graphsurge order is the identity")
+    assertDeltasAreTheStream(gvdlColl)
+
+    val rnd = new Random(7)
+    val init = TestGraphs.randomEdges(rnd, 20, 60)
+    val views = TestGraphs.perturbationViews(rnd, 20, init, 4, 5, 5)
+    val ds = assertDeltasAreTheStream(
+      TestGraphs.collectionFrom(spark, "explicit", views :+ views.last))
+    assert(ds.last.isEmpty) // a view identical to the one before it
   }
 
   test("diff multiplicities are only +1/-1 and first occurrence is +1") {
