@@ -34,17 +34,6 @@ object Table4 {
 
   def run(spark: SparkSession): Seq[String] = {
     BenchUtil.configure(spark)
-    // A 252-view EBM is one projection with ~5000 sub-expressions;
-    // whole-stage codegen exceeds janino's limits, and Spark 4 surfaces
-    // that as an internal error instead of falling back — run this table
-    // with whole-stage compilation off.
-    val wscg = spark.conf.get("spark.sql.codegen.wholeStage", "true")
-    spark.conf.set("spark.sql.codegen.wholeStage", "false")
-    try runInner(spark)
-    finally spark.conf.set("spark.sql.codegen.wholeStage", wscg)
-  }
-
-  private def runInner(spark: SparkSession): Seq[String] = {
     val s = BenchUtil.scale
     def graph(nV: Long, nE: Long) = GraphGen.communityGraph(spark, nV, nE, nComm = 12)
     val datasets = Seq(

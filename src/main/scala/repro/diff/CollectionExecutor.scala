@@ -94,7 +94,7 @@ object CollectionExecutor {
       if (sys.env.contains("REPRO_VERBOSE"))
         Console.err.println(
           f"[exec] ${program.name}%-4s view=$t%3d mode=${if (runDiff) "diff" else "scratch"}%-7s " +
-          f"ms=$ms%6d maint=$maintainMs%5d |E|=${edges.size}%7d |δ|=${delta.size}%6d " +
+          f"ms=$ms%6d maint=$maintainMs%5d |E|=${edges.size}%7d |dC|=${delta.size}%6d " +
           f"iters=${state.iterations}%3d work=${state.workRows}%8d")
       if (keepResults) results += state.finalState
     }

@@ -28,14 +28,19 @@ object Engine {
     * keeping every iteration's plan-size estimate bounded. It also assigns
     * fresh attribute ids, avoiding self-join ambiguity.
     */
-  def ckpt(df: DataFrame): DataFrame = {
+  def ckpt(df: DataFrame): DataFrame = ckptCount(df)._1
+
+  /** [[ckpt]], also returning the row count of the job that materializes
+    * the frame.
+    */
+  def ckptCount(df: DataFrame): (DataFrame, Long) = {
     val rdd = df.rdd
     // RDD-level localCheckpoint truncates the lineage on materialization —
     // without it the DAGScheduler re-walks an ever-growing ancestry graph
     // on every job, so iteration latency creeps up across views.
     rdd.localCheckpoint()
-    rdd.count()
-    df.sparkSession.createDataFrame(rdd, df.schema)
+    val n = rdd.count()
+    (df.sparkSession.createDataFrame(rdd, df.schema), n)
   }
 
   /** Result of running a program on one view.

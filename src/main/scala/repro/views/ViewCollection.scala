@@ -2,6 +2,7 @@ package repro.views
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.diff.Engine
 import repro.diff.EdgeArrangement.Delta
 import repro.graph.PropertyGraph
 import repro.gvdl.{Ast, Parser}
@@ -82,7 +83,7 @@ object ViewCollection {
     require(k >= 1, "a view collection needs at least one view")
 
     val t0  = System.nanoTime()
-    val ebm = Ebm.compute(graph, views.map(_._2)).transform(repro.diff.Engine.ckpt)
+    val ebm = Engine.ckpt(Ebm.compute(graph, views.map(_._2)))
     val t1  = System.nanoTime()
 
     val order = strategy match {
@@ -92,8 +93,7 @@ object ViewCollection {
     }
     val t2 = System.nanoTime()
 
-    val diffs = DiffStream.compute(ebm, order).transform(repro.diff.Engine.ckpt)
-    val total = diffs.count()
+    val (diffs, total) = Engine.ckptCount(DiffStream.compute(ebm, order))
     val t3    = System.nanoTime()
 
     ViewCollection(
@@ -118,14 +118,12 @@ object ViewCollection {
   def fromExplicitDiffs(spark: SparkSession, name: String,
                         perView: Seq[DataFrame]): ViewCollection = {
     val t0 = System.nanoTime()
-    val stream = perView.zipWithIndex
+    val (stream, total) = Engine.ckptCount(perView.zipWithIndex
       .map { case (df, t) =>
         df.select(lit(t).as("t"), col("eid"), col("src"), col("dst"),
                   coalesce(col("weight"), lit(1.0)).as("weight"), col("diff"))
       }
-      .reduce(_ unionByName _)
-      .transform(repro.diff.Engine.ckpt)
-    val total = stream.count()
+      .reduce(_ unionByName _))
     val t1 = System.nanoTime()
     ViewCollection(
       name, perView.indices.map(t => s"v$t"), perView.indices,

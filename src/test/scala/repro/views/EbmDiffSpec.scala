@@ -1,10 +1,11 @@
 package repro.views
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, ReproSpec, TestGraphs}
 import repro.diff.EdgeArrangement.Delta
-import repro.graph.GraphGen
-import repro.gvdl.Parser
+import repro.graph.{GraphGen, PropertyGraph}
+import repro.gvdl.{Compiler, Parser}
 import scala.util.Random
 
 /** EBM (§3.2 step 1) and difference-stream (§3.2 step 3) semantics. */
@@ -35,6 +36,47 @@ class EbmDiffSpec extends ReproSpec {
     val got = Ebm.viewEdges(ebm, 0).select(col("eid").cast("string").as("eid"))
     Oracle.assertEquivalent(got,
       "SELECT eid FROM edges WHERE CAST(duration AS INT) <= 5", "edges" -> flat)
+  }
+
+  test("EBM bits follow SQL three-valued logic over nulls and missing endpoints") {
+    import spark.implicits._
+    // Node 3 has null properties and node 9 has no row, so the left joins of
+    // `resolved` give its edges null dst_* columns too.
+    val nodes = Seq[(Long, Option[Int], Option[Boolean])](
+      (1L, Some(1), Some(true)), (2L, Some(2), Some(false)), (3L, None, None))
+      .toDF("id", "x", "b")
+    val edges = Seq[(Long, Long, Long, Option[Int])](
+      (0L, 1L, 2L, Some(3)), (1L, 2L, 1L, None), (2L, 3L, 1L, Some(4)),
+      (3L, 1L, 3L, Some(3)), (4L, 3L, 9L, None), (5L, 9L, 2L, Some(1)),
+      (6L, 2L, 9L, Some(3)), (7L, 3L, 3L, Some(2)))
+      .toDF("eid", "src", "dst", "w")
+    val g = PropertyGraph(nodes, edges)
+    val texts = Seq(
+      "not (src.x = 1)",
+      "src.x = 1 or dst.x != 2",
+      "not (src.x = 1 or dst.x != 2)",
+      "not (src.x = 1) and w != 3",
+      "dst.x != 2 or not (w != 3)",
+      "src.b or not dst.b",
+      "not src.b and (true or dst.x = 1)",
+      "false or not (not (w != 3))")
+    val ps = texts.map(Parser.parsePredicate)
+    val m = Ebm.compute(g, ps)
+    val cols = g.resolved.columns.toSeq
+    def eids(df: DataFrame) = df.select("eid").collect().map(_.getLong(0)).toSet
+    for ((p, j) <- ps.zipWithIndex) {
+      val direct = eids(g.resolved.where(Compiler.edgePredicate(p, cols)))
+      assert(eids(Ebm.viewEdges(m, j)) == direct, s"view $j '${texts(j)}'")
+    }
+  }
+
+  test("a non-Boolean view predicate is an IllegalArgumentException naming the view and type") {
+    for ((pred, tpe) <- Seq("duration" -> "int", "5" -> "bigint", "year <= 2013 and year" -> "int")) {
+      val gvdl = s"create view collection c on Calls [a: duration <= 5], [v: $pred]"
+      val e = intercept[IllegalArgumentException](ViewCollection.fromGvdl(graph, gvdl))
+      assert(e.getMessage.contains("view 1") && e.getMessage.contains(s"type $tpe"),
+             e.getMessage)
+    }
   }
 
   test("viewSizes matches per-view counts") {
