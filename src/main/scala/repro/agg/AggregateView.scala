@@ -37,9 +37,8 @@ object AggregateView {
         row_number().over(org.apache.spark.sql.expressions.Window
           .orderBy(stmt.groupBy.map(col): _*)))
 
-    val mapping = repro.diff.Engine.fresh(nodesF.select(col("id") +: groupCols: _*))
-      .join(repro.diff.Engine.fresh(superNodes.select(col("super_id") +: groupCols: _*)),
-            stmt.groupBy)
+    val mapping = nodesF.select(col("id") +: groupCols: _*)
+      .join(superNodes.select(col("super_id") +: groupCols: _*), stmt.groupBy)
       .select(col("id"), col("super_id"))
 
     val edgeAggs =

@@ -57,16 +57,3 @@ final case class PageRankProg(iters: Int = 10) extends VertexProgram {
   val aggIsMin = false
   def combine(init: Double, agg: Double): Double = 0.15 + agg
 }
-
-/** Multiple-pair shortest paths (§7.1): the paper fixes src = the first
-  * vertex with an outgoing edge and samples 5 destinations, so MPSP is a
-  * single Bellman-Ford run plus an output projection to the pairs; the
-  * program is identical to [[Sssp]].
-  */
-object Mpsp {
-  def program(source: Long): VertexProgram = Sssp(source)
-
-  /** Project a final SSSP state (vid → dist) to the sampled pairs. */
-  def project(state: Map[Long, Double], dsts: Seq[Long]): Map[Long, Double] =
-    dsts.map(d => d -> state.getOrElse(d, Double.PositiveInfinity)).toMap
-}

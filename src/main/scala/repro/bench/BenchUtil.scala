@@ -2,7 +2,8 @@ package repro.bench
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.diff.Engine
+import repro.diff.EdgeArrangement.Delta
+import repro.graph.GraphGen
 import repro.views.ViewCollection
 
 /** Shared plumbing for the table harnesses. */
@@ -22,33 +23,39 @@ object BenchUtil {
   def firstSource(edges: DataFrame): Long =
     edges.agg(min(col("src"))).collect()(0).getLong(0)
 
-  /** Build a §5-style artificial perturbation collection on Spark: view 0
-    * is `edges`; each subsequent view removes `delN` pseudo-randomly chosen
-    * edges and adds `addN` fresh random edges over `nV` vertices.
+  /** Build a §5-style artificial perturbation collection on the driver.
+    * View 0 is `edges`, collected once. Each later view v removes the `delN`
+    * current edges that come first in ascending `GraphGen.hash(eid, seed + v)`
+    * and adds `addN` fresh edges: the i-th has eid `1000000·v + seed·10⁸ + i`
+    * and endpoints drawn over `nV` vertices by `GraphGen.huOf(i, seed + 31v)`
+    * and `huOf(i, seed + 37v)`; self-loops are dropped. Within a view the
+    * additions come before the deletions. The draws are Spark's `xxhash64`,
+    * so the collection does not depend on how `edges` is partitioned.
     */
   def perturbationCollection(spark: SparkSession, name: String, edges: DataFrame,
                              nV: Long, views: Int, addN: Int, delN: Int,
                              seed: Long): ViewCollection = {
-    var current = Engine.ckpt(edges.select("eid", "src", "dst", "weight"))
-    val perView = Seq.newBuilder[DataFrame]
-    perView += current.withColumn("diff", lit(1))
+    var current = edges
+      .select(col("eid").cast("long"), col("src").cast("long"), col("dst").cast("long"),
+              coalesce(col("weight").cast("double"), lit(1.0)))
+      .collect().toVector
+      .map(r => Delta(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3), 1))
+    val perView = Vector.newBuilder[Seq[Delta]]
+    perView += current
     for (v <- 1 until views) {
-      val dels = Engine.ckpt(
-        current.orderBy(xxhash64(col("eid"), lit(seed + v))).limit(delN))
-      val adds = Engine.ckpt(
-        spark.range(addN).select(
-          (lit(1000000L * v + seed * 100000000L) + col("id")).as("eid"),
-          repro.graph.GraphGen.hu(col("id"), seed + 31 * v).multiply(nV).cast("long").as("src"),
-          repro.graph.GraphGen.hu(col("id"), seed + 37 * v).multiply(nV).cast("long").as("dst"),
-          lit(1.0).as("weight"))
-          .where(col("src") =!= col("dst")))
-      perView += adds.withColumn("diff", lit(1))
-        .unionByName(dels.withColumn("diff", lit(-1)))
-      current = Engine.ckpt(
-        current.join(dels.select("eid"), Seq("eid"), "left_anti").unionByName(adds))
+      val dels = current.map(e => (GraphGen.hash(e.eid, seed + v), e))
+        .sortBy(_._1).take(delN).map(_._2)
+      val adds = (0L until addN).map { i =>
+        Delta(1000000L * v + seed * 100000000L + i,
+              (GraphGen.huOf(i, seed + 31 * v) * nV).toLong,
+              (GraphGen.huOf(i, seed + 37 * v) * nV).toLong, 1.0, 1)
+      }.filter(e => e.src != e.dst)
+      perView += adds ++ dels.map(_.copy(diff = -1))
+      val gone = dels.map(_.eid).toSet
+      current = current.filterNot(e => gone(e.eid)) ++ adds
     }
     ViewCollection.fromExplicitDiffs(spark, name, perView.result())
   }
 
-  def fmtMs(ms: Long): String = f"${ms / 1000.0}%.1fs"
+  def fmtMs(ms: Long): String = s"${ms}ms"
 }

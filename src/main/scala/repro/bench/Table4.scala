@@ -44,7 +44,7 @@ object Table4 {
     ViewCollection.build(datasets.last._2, "warm-up", views(7, 4), ViewCollection.GraphsurgeOrder)
 
     val out = Seq.newBuilder[String]
-    out += "== Table 4: collection ordering — #Diffs and creation time (CCT) =="
+    out += "== Table 4: collection ordering - #Diffs and creation time (CCT) =="
     for ((dName, g) <- datasets; (cName, n, k) <- configs) {
       val vs = views(n, k)
       val strategies = Seq(

@@ -1,47 +1,22 @@
 package repro.diff
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 
 /** Shared plumbing: the record every [[Analytic]] run returns, and the
-  * frame helpers of the Spark-side code (collection building, aggregate
-  * views).
+  * checkpoint of collection-building frames.
   */
 object Engine {
 
-  /** Re-alias every column (fresh exprIds). Iterative plans repeatedly
-    * join frames descending from the same scan; without fresh attribute
-    * ids Spark's analyzer trips over ambiguous self-join references.
+  /** Materialize a frame into the block manager and cut its lineage:
+    * Spark's own eager local checkpoint. A frame read several times (the
+    * EBM by the orderer and by the stream, a bench graph by every pass)
+    * is computed once. No frame checkpointed here comes from an iterated
+    * or self-joined plan, so the plan statistics the checkpoint inherits
+    * from its origin stay bounded. Not `persist`: the CacheManager would
+    * keep every build's plan until `unpersist`, while a checkpoint's
+    * blocks go with its frame.
     */
-  def fresh(df: DataFrame): DataFrame =
-    df.select(df.columns.map(c => col(c).as(c)).toSeq: _*)
-
-  /** Eagerly materialize a frame and rebuild it from the cached RDD — the
-    * only safe way to carry a frame across loop iterations here.
-    *
-    * `localCheckpoint` is NOT used because its `LogicalRDD` inherits the
-    * origin Dataset's statistics: with iterated join plans the estimated
-    * `sizeInBytes` compounds multiplicatively across iterations into
-    * BigIntegers with millions of digits, and the planner then spends
-    * minutes inside `SizeInBytesOnlyStatsPlanVisitor`. Rebuilding via
-    * `createDataFrame(rdd, schema)` resets the leaf to default statistics,
-    * keeping every iteration's plan-size estimate bounded. It also assigns
-    * fresh attribute ids, avoiding self-join ambiguity.
-    */
-  def ckpt(df: DataFrame): DataFrame = ckptCount(df)._1
-
-  /** [[ckpt]], also returning the row count of the job that materializes
-    * the frame.
-    */
-  def ckptCount(df: DataFrame): (DataFrame, Long) = {
-    val rdd = df.rdd
-    // RDD-level localCheckpoint truncates the lineage on materialization —
-    // without it the DAGScheduler re-walks an ever-growing ancestry graph
-    // on every job, so iteration latency creeps up across views.
-    rdd.localCheckpoint()
-    val n = rdd.count()
-    (df.sparkSession.createDataFrame(rdd, df.schema), n)
-  }
+  def ckpt(df: DataFrame): DataFrame = df.localCheckpoint(eager = true)
 
   /** Result of running a program on one view.
     *

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.functions._
 
 /** Deterministic synthetic graph generators — laptop-scale analogs of the
@@ -17,6 +18,13 @@ object GraphGen {
   /** Hash-based uniform double in [0, 1), deterministic in (column, seed). */
   def hu(c: Column, seed: Long): Column =
     (pmod(xxhash64(c, lit(seed)), lit(1000000007L)).cast("double") / 1000000007.0)
+
+  /** Spark's `xxhash64(id, lit(seed))` of a long id, on the driver. */
+  def hash(id: Long, seed: Long): Long = XXH64.hashLong(seed, XXH64.hashLong(id, 42))
+
+  /** [[hu]] of a long id, on the driver. */
+  def huOf(id: Long, seed: Long): Double =
+    java.lang.Math.floorMod(hash(id, seed), 1000000007L) / 1000000007.0
 
   /** Uniform long in [0, n). */
   private def hlong(c: Column, seed: Long, n: Long): Column =

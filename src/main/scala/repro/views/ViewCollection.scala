@@ -33,8 +33,9 @@ final case class ViewCollection(
 
   /** The difference stream on the driver: `deltas()(t)` is δC_t (empty where
     * view t equals view t−1), rows in the order a frame of position t alone
-    * collects in. One Spark job per call and no copy kept, so a collection
-    * that never runs analytics holds none on the driver.
+    * collects in. No copy is kept, so a collection that never runs
+    * analytics holds none on the driver. A stream built from predicates
+    * costs one Spark job per call; an explicit one is local and costs none.
     */
   def deltas(): IndexedSeq[Seq[Delta]] = {
     val byT = IndexedSeq.fill(numViews)(Vector.newBuilder[Delta])
@@ -46,17 +47,15 @@ final case class ViewCollection(
     byT.map(_.result())
   }
 
-  /** Materialize the view at execution position t (for tests/scratch). */
-  def viewEdges(t: Int): DataFrame = ebm match {
-    case Some(m) => Ebm.viewEdges(m, order(t))
-    case None =>
-      // Fold the difference stream up to t — Σ_{s<=t} δC_s.
-      diffs.where(col("t") <= t)
-        .groupBy("eid", "src", "dst", "weight")
-        .agg(sum("diff").as("m"))
-        .where(col("m") > 0)
-        .select("eid", "src", "dst", "weight")
-  }
+  /** The view at execution position t, folded from the difference stream:
+    * Σ_{s<=t} δC_s.
+    */
+  def viewEdges(t: Int): DataFrame =
+    diffs.where(col("t") <= t)
+      .groupBy("eid", "src", "dst", "weight")
+      .agg(sum("diff").as("m"))
+      .where(col("m") > 0)
+      .select("eid", "src", "dst", "weight")
 }
 
 object ViewCollection {
@@ -93,7 +92,8 @@ object ViewCollection {
     }
     val t2 = System.nanoTime()
 
-    val (diffs, total) = Engine.ckptCount(DiffStream.compute(ebm, order))
+    val diffs = Engine.ckpt(DiffStream.compute(ebm, order))
+    val total = diffs.count()
     val t3    = System.nanoTime()
 
     ViewCollection(
@@ -110,23 +110,23 @@ object ViewCollection {
         throw new IllegalArgumentException(s"not a view-collection statement: $other")
     }
 
-  /** Build a collection directly from explicit per-view difference sets
-    * (the §5 controlled experiment / Table 2 construction: artificial
-    * collections made by random edge additions/removals). `perView(t)`
-    * must carry columns eid, src, dst, weight, diff.
+  /** Build a collection from explicit per-view difference sets held on the
+    * driver (the §5 controlled experiment / Table 2 construction: artificial
+    * collections made by random edge additions and removals). The stream
+    * is one local relation in the given row order, so building it runs no
+    * Spark job and reading it back runs none either.
     */
   def fromExplicitDiffs(spark: SparkSession, name: String,
-                        perView: Seq[DataFrame]): ViewCollection = {
+                        perView: Seq[Seq[Delta]]): ViewCollection = {
+    import spark.implicits._
     val t0 = System.nanoTime()
-    val (stream, total) = Engine.ckptCount(perView.zipWithIndex
-      .map { case (df, t) =>
-        df.select(lit(t).as("t"), col("eid"), col("src"), col("dst"),
-                  coalesce(col("weight"), lit(1.0)).as("weight"), col("diff"))
-      }
-      .reduce(_ unionByName _))
+    val stream = perView.zipWithIndex
+      .flatMap { case (ds, t) => ds.map(d => (t, d.eid, d.src, d.dst, d.weight, d.diff)) }
+      .toDF("t", "eid", "src", "dst", "weight", "diff")
     val t1 = System.nanoTime()
     ViewCollection(
       name, perView.indices.map(t => s"v$t"), perView.indices,
-      stream, perView.size, total, None, Cct(0, 0, (t1 - t0) / 1000000))
+      stream, perView.size, perView.map(_.size.toLong).sum, None,
+      Cct(0, 0, (t1 - t0) / 1000000))
   }
 }

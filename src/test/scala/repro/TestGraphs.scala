@@ -60,13 +60,13 @@ object TestGraphs {
   /** Difference stream from explicit per-view edge lists (keyed by eid). */
   def collectionFrom(spark: SparkSession, name: String,
                      views: Seq[Seq[E]]): ViewCollection = {
-    import spark.implicits._
+    def delta(e: E, diff: Int) = EdgeArrangement.Delta(e.eid, e.src, e.dst, e.w, diff)
     val perView = views.zipWithIndex.map { case (v, t) =>
       val prev = if (t == 0) Map.empty[Long, E] else views(t - 1).map(e => e.eid -> e).toMap
       val cur  = v.map(e => e.eid -> e).toMap
-      val adds = (cur.keySet -- prev.keySet).toSeq.map(cur).map(e => (e.eid, e.src, e.dst, e.w, 1))
-      val dels = (prev.keySet -- cur.keySet).toSeq.map(prev).map(e => (e.eid, e.src, e.dst, e.w, -1))
-      (adds ++ dels).toDF("eid", "src", "dst", "weight", "diff")
+      val adds = (cur.keySet -- prev.keySet).toSeq.map(cur).map(delta(_, 1))
+      val dels = (prev.keySet -- cur.keySet).toSeq.map(prev).map(delta(_, -1))
+      adds ++ dels
     }
     ViewCollection.fromExplicitDiffs(spark, name, perView)
   }

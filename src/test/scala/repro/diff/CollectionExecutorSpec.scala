@@ -49,9 +49,15 @@ class CollectionExecutorSpec extends ReproSpec {
   }
 
   test("a collection run's Spark jobs do not grow with its number of views") {
-    val (_, coll) = mkColl(64, nV = 25, views = 6, add = 4, del = 4)
+    // A GVDL collection: its stream lives in Spark, where an explicit
+    // collection's is a local relation that a run reads without a job.
+    val g = repro.graph.GraphGen.callGraph(spark, nV = 60, nE = 300)
+    val coll = repro.views.ViewCollection.fromGvdl(g,
+      """create view collection jobs on Calls
+         [D4: duration≤4], [D8: duration≤8], [D12: duration≤12],
+         [D16: duration≤16], [D25: duration≤25], [D34: duration≤34]""")
     assert(coll.numViews == 6)
-    val verts = TestGraphs.vertices(spark, 25)
+    val verts = g.vertexIds
     val sc = spark.sparkContext
     val counter = new JobCounter
     sc.addSparkListener(counter)

@@ -3,6 +3,7 @@ package repro.diff
 import org.apache.spark.sql.functions._
 import repro.{ReproSpec, TestGraphs}
 import repro.algorithms.{Reference, Sssp}
+import repro.diff.EdgeArrangement.Delta
 import repro.graph.GraphGen
 import repro.views.ViewCollection
 
@@ -15,18 +16,14 @@ class Table1ExampleSpec extends ReproSpec {
   private val zChain = 50
 
   private def collection(zChain: Int = zChain) = {
-    import spark.implicits._
     val g = GraphGen.bellmanFordExample(spark, zChain)
-    val base = g.edges.select("eid", "src", "dst", "weight")
-      .collect().map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3)))
-    def df(rows: Seq[(Long, Long, Long, Double, Int)]) =
-      rows.toDF("eid", "src", "dst", "weight", "diff")
-    val v0 = df(base.toSeq.map(e => (e._1, e._2, e._3, e._4, 1)))
+    val v0 = g.edges.select("eid", "src", "dst", "weight").collect().toSeq
+      .map(r => Delta(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3), 1))
     // G1: change (s,w1) cost 2→1 — a deletion plus an addition, exactly the
     // δE of Table 1. Changed weight ⇒ fresh eid for the new edge instance.
-    val v1 = df(Seq((0L, 0L, 1L, 2.0, -1), (1000L, 0L, 1L, 1.0, 1)))
+    val v1 = Seq(Delta(0L, 0L, 1L, 2.0, -1), Delta(1000L, 0L, 1L, 1.0, 1))
     // G2: change (s,w2) cost 10→1.
-    val v2 = df(Seq((1L, 0L, 2L, 10.0, -1), (1001L, 0L, 2L, 1.0, 1)))
+    val v2 = Seq(Delta(1L, 0L, 2L, 10.0, -1), Delta(1001L, 0L, 2L, 1.0, 1))
     (g, ViewCollection.fromExplicitDiffs(spark, "bf-example", Seq(v0, v1, v2)))
   }
 

@@ -81,4 +81,19 @@ class GraphGenSpec extends ReproSpec {
     val g = GraphGen.communityGraph(spark, 2000, 8000, 8)
     assert(g.edges.select("eid").distinct().count() == g.edges.count())
   }
+
+  test("driver hash and huOf equal Spark's xxhash64 and hu columns") {
+    val seeds = Seq(0L, 1L, 42L, -5L, 132L, 20200000000L)
+    for (seed <- seeds) {
+      val rows = spark.range(-2500, 2500)
+        .select(col("id"), xxhash64(col("id"), lit(seed)), GraphGen.hu(col("id"), seed))
+        .collect()
+      assert(rows.length == 5000)
+      rows.foreach { r =>
+        val id = r.getLong(0)
+        assert(GraphGen.hash(id, seed) == r.getLong(1), s"hash($id, $seed)")
+        assert(GraphGen.huOf(id, seed) == r.getDouble(2), s"huOf($id, $seed)")
+      }
+    }
+  }
 }
