@@ -63,7 +63,7 @@ object Table4 {
       }.mkString("  ")
       out += "   " + built.map { case (sn, c) =>
         f"$sn: cct=${BenchUtil.fmtMs(c.cct.totalMs)} (${c.cct.totalMs / math.max(1.0, ordCct)}%.2fx)"
-      }.mkString("  ")
+      }.mkString("  ") + s"  patterns=${built.head._2.cct.patterns}"
     }
     out += "paper: LJ 10C5 Ord 157M vs R 1.4-1.6B (9.5-10.3x); LJ 7C4 Ord 63M vs ~4x;"
     out += "       WTC 10C5 Ord 72M vs 1.0-1.2B (14.2-16.8x); WTC 7C4 Ord 45M vs 3.5x;"

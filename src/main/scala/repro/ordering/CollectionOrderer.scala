@@ -1,13 +1,12 @@
 package repro.ordering
 
-import org.apache.spark.sql.DataFrame
-
 /** Collection ordering optimizer (§4, Algorithm 1).
   *
   * Pads the EBM with an all-zero column (index 0 of the distance matrix),
-  * computes the pairwise-Hamming clique in parallel, runs the TSP
-  * heuristic, cuts the cycle at the zero column, and orients the resulting
-  * path in the direction with the smaller total difference count.
+  * computes the pairwise-Hamming clique from the EBM's distinct bit
+  * patterns ([[Hamming]]), runs the TSP heuristic, cuts the cycle at the
+  * zero column, and orients the resulting path in the direction with the
+  * smaller total difference count.
   *
   * The COP objective of an ordering σ equals the path cost starting at the
   * zero column: |δC_1| = popcount(first column) = d(0, σ(1)), and
@@ -20,12 +19,6 @@ object CollectionOrderer {
     * predicted total diff count Σ_t |δC_t|.
     */
   final case class Ordering(order: Seq[Int], predictedDiffs: Double)
-
-  /** Order a k-view collection from its EBM. */
-  def order(ebm: DataFrame, k: Int): Ordering = {
-    val d = Hamming.distances(ebm, k)
-    fromDistances(d)
-  }
 
   /** Order from a precomputed (k+1)×(k+1) padded distance matrix. */
   def fromDistances(d: Array[Array[Double]]): Ordering = {

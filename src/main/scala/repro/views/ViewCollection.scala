@@ -6,19 +6,27 @@ import repro.diff.Engine
 import repro.diff.EdgeArrangement.Delta
 import repro.graph.PropertyGraph
 import repro.gvdl.{Ast, Parser}
-import repro.ordering.CollectionOrderer
+import repro.ordering.{CollectionOrderer, Hamming}
 
-/** A materialized view collection (§3.2): views organized as a single
-  * timestamped edge-difference stream.
+/** A view collection (§3.2): views organized as a single timestamped
+  * edge-difference stream.
+  *
+  * A collection built from predicates keeps its EBM checkpointed and its
+  * stream factorized: `totalDiffs` and the ordering come from the EBM's
+  * distinct bit patterns, and `diffs` is a lazy frame over the EBM that
+  * each reader (`deltas()`, `viewEdges`) expands when it reads it.
   *
   * @param name        collection name
   * @param viewNames   view names in *execution* order (after ordering)
   * @param order       σ: execution position → original view index
-  * @param diffs       difference stream `t, eid, src, dst, weight, diff`
+  * @param diffs       difference stream `t, eid, src, dst, weight, diff`;
+  *                    built from predicates, a lazy frame over `ebm`
   * @param numViews    k
-  * @param totalDiffs  Σ_t |δC_t| (the COP objective value of `order`)
-  * @param ebm         the packed edge boolean matrix, when built from
-  *                    predicates (absent for explicit-diff collections)
+  * @param totalDiffs  Σ_t |δC_t| (the COP objective value of `order`),
+  *                    summed over bit patterns when built from predicates
+  * @param ebm         the packed edge boolean matrix, checkpointed, when
+  *                    built from predicates (absent for explicit-diff
+  *                    collections)
   * @param cct         collection creation time breakdown, milliseconds
   */
 final case class ViewCollection(
@@ -35,7 +43,8 @@ final case class ViewCollection(
     * view t equals view t−1), rows in the order a frame of position t alone
     * collects in. No copy is kept, so a collection that never runs
     * analytics holds none on the driver. A stream built from predicates
-    * costs one Spark job per call; an explicit one is local and costs none.
+    * costs one Spark job per call, which expands it from the EBM; an
+    * explicit one is local and costs none.
     */
   def deltas(): IndexedSeq[Seq[Delta]] = {
     val byT = IndexedSeq.fill(numViews)(Vector.newBuilder[Delta])
@@ -60,8 +69,15 @@ final case class ViewCollection(
 
 object ViewCollection {
 
-  /** CCT breakdown: EBM computation, ordering, diff-stream materialization. */
-  final case class Cct(ebmMs: Long, orderMs: Long, diffMs: Long) {
+  /** CCT breakdown, milliseconds. For a collection built from predicates:
+    * `ebmMs` computes and checkpoints the EBM (Spark job 1); `orderMs`
+    * counts its distinct bit patterns (job 2) and orders the views from
+    * them on the driver; `diffMs` sums Σ_t |δC_t| over the patterns and
+    * plans the lazy stream, on the driver. `patterns` is the number of
+    * distinct patterns (0 for an explicit-diff collection, whose `diffMs`
+    * is the local stream's construction).
+    */
+  final case class Cct(ebmMs: Long, orderMs: Long, diffMs: Long, patterns: Long = 0) {
     def totalMs: Long = ebmMs + orderMs + diffMs
   }
 
@@ -74,7 +90,11 @@ object ViewCollection {
   /** Seeded random order (Table 4 baseline). */
   final case class RandomOrder(seed: Long) extends OrderStrategy
 
-  /** Build a collection from named predicates (§3.2 steps 1–3). */
+  /** Build a collection from named predicates (§3.2 steps 1–3) in two
+    * Spark jobs: the EBM and its pattern histogram. Ordering and Σ_t |δC_t|
+    * run on the driver, once per distinct pattern; the stream is not
+    * materialized.
+    */
   def build(graph: PropertyGraph, name: String,
             views: Seq[(String, Ast.Expr)],
             strategy: OrderStrategy = GivenOrder): ViewCollection = {
@@ -85,20 +105,26 @@ object ViewCollection {
     val ebm = Engine.ckpt(Ebm.compute(graph, views.map(_._2)))
     val t1  = System.nanoTime()
 
+    val patterns = Ebm.patterns(ebm)
     val order = strategy match {
       case GivenOrder        => 0 until k
       case RandomOrder(seed) => CollectionOrderer.randomOrder(k, seed)
-      case GraphsurgeOrder   => CollectionOrderer.order(ebm, k).order
+      case GraphsurgeOrder   =>
+        CollectionOrderer.fromDistances(Hamming.fromPatterns(patterns, k)).order
     }
     val t2 = System.nanoTime()
 
-    val diffs = Engine.ckpt(DiffStream.compute(ebm, order))
-    val total = diffs.count()
+    val total = DiffStream.count(patterns, order)
+    val diffs = DiffStream.compute(ebm, order)
     val t3    = System.nanoTime()
 
-    ViewCollection(
-      name, order.map(views(_)._1), order, diffs, k, total, Some(ebm),
-      Cct((t1 - t0) / 1000000, (t2 - t1) / 1000000, (t3 - t2) / 1000000))
+    val cct = Cct((t1 - t0) / 1000000, (t2 - t1) / 1000000, (t3 - t2) / 1000000,
+                  patterns.size.toLong)
+    if (sys.env.contains("REPRO_VERBOSE"))
+      Console.err.println(
+        f"[cct] $name%s views=$k%d patterns=${cct.patterns}%d diffs=$total%d " +
+        f"ebm=${cct.ebmMs}%d order=${cct.orderMs}%d diff=${cct.diffMs}%d ms")
+    ViewCollection(name, order.map(views(_)._1), order, diffs, k, total, Some(ebm), cct)
   }
 
   /** Build from a GVDL `create view collection` statement. */

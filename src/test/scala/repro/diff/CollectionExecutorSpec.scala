@@ -48,6 +48,38 @@ class CollectionExecutorSpec extends ReproSpec {
     assert(a.stats.size == 4)
   }
 
+  /** `body`'s value and the number of Spark jobs it starts on this thread. */
+  private def withJobCount[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val counter = new JobCounter
+    sc.addSparkListener(counter)
+    try {
+      sc.setLocalProperty(JobCounter.Key, JobCounter.Counted)
+      val value = try body finally sc.setLocalProperty(JobCounter.Key, null)
+      // The listener bus is asynchronous and FIFO: once the marker job's
+      // start is delivered, so is every job `body` started.
+      sc.setLocalProperty(JobCounter.Key, JobCounter.Marker)
+      try sc.parallelize(Seq(1), 1).count()
+      finally sc.setLocalProperty(JobCounter.Key, null)
+      val deadline = System.nanoTime() + 60L * 1000000000L
+      while (!counter.flushed && System.nanoTime() < deadline) Thread.sleep(20)
+      assert(counter.flushed, "the listener bus never delivered the marker job")
+      (value, counter.jobs)
+    } finally sc.removeSparkListener(counter)
+  }
+
+  test("a GVDL build of 34 views runs two Spark jobs: the EBM and its pattern histogram") {
+    val g = repro.graph.GraphGen.callGraph(spark, nV = 60, nE = 300)
+    val gvdl = (1 to 34).map(d => s"[D$d: duration <= $d]")
+      .mkString("create view collection chain on Calls ", ", ", "")
+    for (strategy <- Seq(repro.views.ViewCollection.GivenOrder,
+                         repro.views.ViewCollection.GraphsurgeOrder)) {
+      val (coll, jobs) = withJobCount(repro.views.ViewCollection.fromGvdl(g, gvdl, strategy))
+      assert(coll.numViews == 34)
+      assert(jobs == 2, s"$jobs Spark jobs for a 34-view build ($strategy)")
+    }
+  }
+
   test("a collection run's Spark jobs do not grow with its number of views") {
     // A GVDL collection: its stream lives in Spark, where an explicit
     // collection's is a local relation that a run reads without a job.
@@ -58,24 +90,10 @@ class CollectionExecutorSpec extends ReproSpec {
          [D16: duration≤16], [D25: duration≤25], [D34: duration≤34]""")
     assert(coll.numViews == 6)
     val verts = g.vertexIds
-    val sc = spark.sparkContext
-    val counter = new JobCounter
-    sc.addSparkListener(counter)
-    try {
-      sc.setLocalProperty(JobCounter.Key, JobCounter.Counted)
-      try CollectionExecutor.run(spark, Wcc(), verts, coll, CollectionExecutor.DiffOnly)
-      finally sc.setLocalProperty(JobCounter.Key, null)
-      // The listener bus is asynchronous and FIFO: once the marker job's
-      // start is delivered, so is every job the run started.
-      sc.setLocalProperty(JobCounter.Key, JobCounter.Marker)
-      try sc.parallelize(Seq(1), 1).count()
-      finally sc.setLocalProperty(JobCounter.Key, null)
-      val deadline = System.nanoTime() + 60L * 1000000000L
-      while (!counter.flushed && System.nanoTime() < deadline) Thread.sleep(20)
-      assert(counter.flushed, "the listener bus never delivered the marker job")
-      // The vertex ids and the one read of the difference stream.
-      assert(counter.jobs >= 1 && counter.jobs <= 2, s"${counter.jobs} Spark jobs for 6 views")
-    } finally sc.removeSparkListener(counter)
+    val (_, jobs) =
+      withJobCount(CollectionExecutor.run(spark, Wcc(), verts, coll, CollectionExecutor.DiffOnly))
+    // The vertex ids and the one read of the difference stream.
+    assert(jobs >= 1 && jobs <= 2, s"$jobs Spark jobs for 6 views")
   }
 
   test("a GVDL-defined collection (inclusion chain) runs end to end") {

@@ -1,5 +1,6 @@
 package repro.ordering
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.ReproSpec
 import repro.views.{DiffStream, Ebm}
@@ -10,21 +11,31 @@ import scala.util.Random
   */
 class OrderingSpec extends ReproSpec {
 
-  /** Random boolean matrix as both a local Seq and a packed EBM frame. */
-  private def randomMatrix(rows: Int, k: Int, seed: Long, density: Double = 0.5)
-      : (Seq[Array[Boolean]], org.apache.spark.sql.DataFrame) = {
-    val rnd = new Random(seed)
-    val m = Seq.fill(rows)(Array.fill(k)(rnd.nextDouble() < density))
+  /** A local k-column boolean matrix as a packed EBM frame. */
+  private def pack(m: Seq[Array[Boolean]], k: Int): DataFrame = {
     val df = {
       import spark.implicits._
       m.zipWithIndex.map { case (r, i) =>
         (i.toLong, r.zipWithIndex.filter(_._1).map(_._2).toSeq)
       }.toDF("eid", "ones")
     }
-    val packed = Ebm.fromBoolColumns(df,
-      (0 until k).map(j => array_contains(col("ones"), j)))
-    (m, packed)
+    Ebm.fromBoolColumns(df, (0 until k).map(j => array_contains(col("ones"), j)))
   }
+
+  /** Random boolean matrix as both a local Seq and a packed EBM frame. */
+  private def randomMatrix(rows: Int, k: Int, seed: Long, density: Double = 0.5)
+      : (Seq[Array[Boolean]], DataFrame) = {
+    val rnd = new Random(seed)
+    val m = Seq.fill(rows)(Array.fill(k)(rnd.nextDouble() < density))
+    (m, pack(m, k))
+  }
+
+  /** The padded (k+1)×(k+1) distance matrix, counted row by row. */
+  private def bruteDistances(m: Seq[Array[Boolean]], k: Int): Seq[Seq[Double]] =
+    Seq.tabulate(k + 1, k + 1) { (a, b) =>
+      def cell(r: Array[Boolean], i: Int) = i > 0 && r(i - 1)
+      m.count(r => cell(r, a) != cell(r, b)).toDouble
+    }
 
   private def localDiffs(m: Seq[Array[Boolean]], order: Seq[Int]): Long =
     m.map { row =>
@@ -44,6 +55,31 @@ class OrderingSpec extends ReproSpec {
     for (j <- 0 until 6)
       assert(d(0)(j + 1) == m.count(_(j)).toDouble, s"zero-col distance to $j")
   }
+
+  // k = 70 views span two 64-bit words. The repeated matrix has six
+  // patterns ~80 rows each, so multiplicities carry the counts; in the
+  // other every row is its own pattern.
+  private val wide = 70
+  private def wideMatrix(repeated: Boolean): Seq[Array[Boolean]] = {
+    val rnd = new Random(17)
+    def row() = Array.fill(wide)(rnd.nextBoolean())
+    if (repeated) rnd.shuffle(Seq.fill(6)(row()).flatMap(p => Seq.fill(60 + rnd.nextInt(40))(p)))
+    else Seq.fill(300)(row())
+  }
+
+  for ((label, repeated) <- Seq("heavily repeated patterns" -> true,
+                                "every pattern distinct" -> false))
+    test(s"Hamming.distances and countDiffs equal per-row counts at k = $wide ($label)") {
+      val m = wideMatrix(repeated)
+      val packed = pack(m, wide).localCheckpoint(true)
+      val distinct = m.map(_.toSeq).distinct.size
+      assert(distinct == (if (repeated) 6 else m.size))
+      val patterns = Ebm.patterns(packed)
+      assert(patterns.size == distinct && patterns.map(_._2).sum == m.size)
+      assert(Hamming.distances(packed, wide).map(_.toSeq).toSeq == bruteDistances(m, wide))
+      for (order <- (0 until wide) +: (1 to 3).map(CollectionOrderer.randomOrder(wide, _)))
+        assert(DiffStream.countDiffs(packed, order) == localDiffs(m, order), s"order $order")
+    }
 
   test("COP objective from distances equals direct diff count, any order") {
     val (m, packed) = randomMatrix(150, 7, seed = 2)
@@ -91,14 +127,7 @@ class OrderingSpec extends ReproSpec {
     // communities {j, j+1 mod 5}: consecutive views overlap.
     val comm = Seq.fill(rows)(rnd.nextInt(5))
     val m = comm.map { c => Array.tabulate(k)(j => !(j % 5 == c || (j + 1) % 5 == c)) }
-    val df = {
-      import spark.implicits._
-      m.zipWithIndex.map { case (r, i) =>
-        (i.toLong, r.zipWithIndex.filter(_._1).map(_._2).toSeq)
-      }.toDF("eid", "ones")
-    }
-    val packed = Ebm.fromBoolColumns(df, (0 until k).map(j => array_contains(col("ones"), j)))
-    val d = Hamming.distances(packed, k)
+    val d = Hamming.distances(pack(m, k), k)
     val ours = CollectionOrderer.fromDistances(d)
     assert(math.abs(ours.predictedDiffs - localDiffs(m, ours.order).toDouble) < 1e-9)
     val randomAvg = (1 to 3).map(s =>
@@ -113,15 +142,7 @@ class OrderingSpec extends ReproSpec {
     val thresholds = Seq(5, 10, 15, 20, 25, 30)
     val vals = Seq.fill(rows)(rnd.nextInt(35))
     val m = vals.map(v => thresholds.map(t => v <= t).toArray)
-    val df = {
-      import spark.implicits._
-      m.zipWithIndex.map { case (r, i) =>
-        (i.toLong, r.zipWithIndex.filter(_._1).map(_._2).toSeq)
-      }.toDF("eid", "ones")
-    }
-    val packed = Ebm.fromBoolColumns(df,
-      thresholds.indices.map(j => array_contains(col("ones"), j)))
-    val d = Hamming.distances(packed, thresholds.size)
+    val d = Hamming.distances(pack(m, thresholds.size), thresholds.size)
     val res = CollectionOrderer.fromDistances(d)
     assert(res.order.sorted == thresholds.indices)
     // For a nested chain the optimal order is monotone; our heuristic should

@@ -27,21 +27,21 @@ class EbmDiffSpec extends ReproSpec {
     test(s"EBM column $j matches direct predicate count ('$p')") {
       val direct = graph.resolved
         .where(repro.gvdl.Compiler.edgePredicate(preds(j), graph.resolved.columns.toSeq)).count()
-      assert(Ebm.viewEdges(ebm, j).count() == direct)
+      assert(EbmReference.viewEdges(ebm, j).count() == direct)
     }
   }
 
   test("EBM view membership agrees with DuckDB per edge") {
     val flat = graph.resolved.select("eid", "duration", "year")
-    val got = Ebm.viewEdges(ebm, 0).select(col("eid").cast("string").as("eid"))
+    val got = EbmReference.viewEdges(ebm, 0).select(col("eid").cast("string").as("eid"))
     Oracle.assertEquivalent(got,
       "SELECT eid FROM edges WHERE CAST(duration AS INT) <= 5", "edges" -> flat)
   }
 
-  test("EBM bits follow SQL three-valued logic over nulls and missing endpoints") {
+  // Node 3 has null properties and node 9 has no row, so the left joins of
+  // `resolved` give its edges null dst_* columns too.
+  private lazy val nullGraph = {
     import spark.implicits._
-    // Node 3 has null properties and node 9 has no row, so the left joins of
-    // `resolved` give its edges null dst_* columns too.
     val nodes = Seq[(Long, Option[Int], Option[Boolean])](
       (1L, Some(1), Some(true)), (2L, Some(2), Some(false)), (3L, None, None))
       .toDF("id", "x", "b")
@@ -50,23 +50,27 @@ class EbmDiffSpec extends ReproSpec {
       (3L, 1L, 3L, Some(3)), (4L, 3L, 9L, None), (5L, 9L, 2L, Some(1)),
       (6L, 2L, 9L, Some(3)), (7L, 3L, 3L, Some(2)))
       .toDF("eid", "src", "dst", "w")
-    val g = PropertyGraph(nodes, edges)
-    val texts = Seq(
-      "not (src.x = 1)",
-      "src.x = 1 or dst.x != 2",
-      "not (src.x = 1 or dst.x != 2)",
-      "not (src.x = 1) and w != 3",
-      "dst.x != 2 or not (w != 3)",
-      "src.b or not dst.b",
-      "not src.b and (true or dst.x = 1)",
-      "false or not (not (w != 3))")
-    val ps = texts.map(Parser.parsePredicate)
+    PropertyGraph(nodes, edges)
+  }
+  private val nullTexts = Seq(
+    "not (src.x = 1)",
+    "src.x = 1 or dst.x != 2",
+    "not (src.x = 1 or dst.x != 2)",
+    "not (src.x = 1) and w != 3",
+    "dst.x != 2 or not (w != 3)",
+    "src.b or not dst.b",
+    "not src.b and (true or dst.x = 1)",
+    "false or not (not (w != 3))")
+
+  test("EBM bits follow SQL three-valued logic over nulls and missing endpoints") {
+    val g = nullGraph
+    val ps = nullTexts.map(Parser.parsePredicate)
     val m = Ebm.compute(g, ps)
     val cols = g.resolved.columns.toSeq
     def eids(df: DataFrame) = df.select("eid").collect().map(_.getLong(0)).toSet
     for ((p, j) <- ps.zipWithIndex) {
       val direct = eids(g.resolved.where(Compiler.edgePredicate(p, cols)))
-      assert(eids(Ebm.viewEdges(m, j)) == direct, s"view $j '${texts(j)}'")
+      assert(eids(EbmReference.viewEdges(m, j)) == direct, s"view $j '${nullTexts(j)}'")
     }
   }
 
@@ -80,9 +84,9 @@ class EbmDiffSpec extends ReproSpec {
   }
 
   test("viewSizes matches per-view counts") {
-    val sizes = Ebm.viewSizes(ebm, predTexts.size)
+    val sizes = EbmReference.viewSizes(ebm, predTexts.size)
     for (j <- predTexts.indices)
-      assert(sizes(j) == Ebm.viewEdges(ebm, j).count())
+      assert(sizes(j) == EbmReference.viewEdges(ebm, j).count())
   }
 
   test("difference stream reconstitutes every view (Σ_{s≤t} δC_s = GV_t)") {
@@ -92,15 +96,65 @@ class EbmDiffSpec extends ReproSpec {
       val folded = diffs.where(col("t") <= t)
         .groupBy("eid").agg(sum("diff").as("m"))
         .where(col("m") > 0)
-      assert(folded.count() == Ebm.viewEdges(ebm, t).count(), s"view $t size")
+      assert(folded.count() == EbmReference.viewEdges(ebm, t).count(), s"view $t size")
       // Exactly the same edge set, not just the same size.
       val mismatch = folded.select("eid")
-        .join(Ebm.viewEdges(ebm, t).select(col("eid").as("eid2")),
+        .join(EbmReference.viewEdges(ebm, t).select(col("eid").as("eid2")),
               col("eid") === col("eid2"), "full_outer")
         .where(col("eid").isNull || col("eid2").isNull)
         .count()
       assert(mismatch == 0, s"view $t membership")
     }
+  }
+
+  /** `coll.diffs` is the stream built edge by edge (`EbmReference.stream`)
+    * over the collection's EBM and order: row for row and in order, both
+    * bucketed by t and whole, and as long as `totalDiffs`.
+    */
+  private def assertStreamIsReference(coll: ViewCollection): Unit = {
+    def rows(df: DataFrame) =
+      df.select(col("t").cast("int"), col("eid").cast("long"), col("src").cast("long"),
+                col("dst").cast("long"), col("weight").cast("double"), col("diff").cast("int"))
+        .collect().toSeq
+        .map(r => (r.getInt(0), Delta(r.getLong(1), r.getLong(2), r.getLong(3), r.getDouble(4),
+                                      r.getInt(5))))
+    val got = rows(coll.diffs)
+    val want = rows(EbmReference.stream(coll.ebm.get, coll.order))
+    assert(want.nonEmpty, s"${coll.name}: empty stream")
+    assert(got.groupBy(_._1) == want.groupBy(_._1), s"${coll.name} by t")
+    assert(got == want, coll.name)
+    assert(coll.diffs.count() == coll.totalDiffs, coll.name)
+    assert(coll.totalDiffs == want.size, coll.name)
+  }
+
+  private lazy val communities = GraphGen.communityGraph(spark, nV = 100, nE = 400, nComm = 12)
+  private val removalGvdl = (0 until 10).combinations(5).map { s =>
+    s"[drop-${s.mkString("-")}: " +
+      s.map(c => s"src.comm != $c and dst.comm != $c").mkString(" and ") + "]"
+  }.mkString("create view collection removal on communities ", ", ", "")
+
+  test("10C5 community removal: the stream is the per-edge stream (Graphsurge order)") {
+    val coll = ViewCollection.fromGvdl(communities, removalGvdl, ViewCollection.GraphsurgeOrder)
+    assert(coll.numViews == 252)
+    assert(coll.cct.patterns > 1 && coll.cct.patterns < coll.ebm.get.count())
+    assertStreamIsReference(coll)
+  }
+
+  test("10C5 community removal: the stream is the per-edge stream (random order)") {
+    assertStreamIsReference(
+      ViewCollection.fromGvdl(communities, removalGvdl, ViewCollection.RandomOrder(5)))
+  }
+
+  test("three-valued-logic collection: the stream is the per-edge stream") {
+    val gvdl = nullTexts.zipWithIndex.map { case (p, j) => s"[n$j: $p]" }
+      .mkString("create view collection nulls on g ", ", ", "")
+    assertStreamIsReference(ViewCollection.fromGvdl(nullGraph, gvdl, ViewCollection.GraphsurgeOrder))
+  }
+
+  test("duration chain in the given order: the stream is the per-edge stream") {
+    val gvdl = Seq(4, 8, 12, 16, 25, 34).map(d => s"[D$d: duration <= $d]")
+      .mkString("create view collection chain on Calls ", ", ", "")
+    assertStreamIsReference(ViewCollection.fromGvdl(graph, gvdl))
   }
 
   /** `deltas()` is the stream: one bucket per position, holding the rows of
