@@ -30,7 +30,9 @@ object BenchUtil {
     * and endpoints drawn over `nV` vertices by `GraphGen.huOf(i, seed + 31v)`
     * and `huOf(i, seed + 37v)`; self-loops are dropped. Within a view the
     * additions come before the deletions. The draws are Spark's `xxhash64`,
-    * so the collection does not depend on how `edges` is partitioned.
+    * so the collection does not depend on how `edges` is partitioned. The
+    * collection holds its stream on the driver; `spark` is not read and
+    * stays in the signature for existing callers.
     */
   def perturbationCollection(spark: SparkSession, name: String, edges: DataFrame,
                              nV: Long, views: Int, addN: Int, delN: Int,
@@ -54,7 +56,7 @@ object BenchUtil {
       val gone = dels.map(_.eid).toSet
       current = current.filterNot(e => gone(e.eid)) ++ adds
     }
-    ViewCollection.fromExplicitDiffs(spark, name, perView.result())
+    ViewCollection.fromExplicitDiffs(name, perView.result())
   }
 
   def fmtMs(ms: Long): String = s"${ms}ms"

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.algorithms.{Bfs, PageRankProg, Scc, Wcc}
 import repro.diff.{Analytic, CollectionExecutor}
 import repro.graph.GraphGen
-import repro.gvdl.{Ast, Parser}
+import repro.gvdl.Parser
 import repro.views.ViewCollection
 
 /** Table 3 (§7.3): WCC, BFS, SCC, PR × {diff, scratch, adaptive} on three

@@ -17,8 +17,10 @@ import Engine._
   * and keeps one [[EdgeArrangement]] of the current view's edges E_t on the
   * driver, built from δ_0 and advanced by each view's δ, so edge maintenance
   * costs O(|δ|) per view. A run issues two Spark jobs however many views it
-  * has: the vertex ids and the stream. Every analytic, SCC included, runs
-  * on the driver over the arrangement and issues none.
+  * has: the vertex ids and, for a collection built from predicates, the
+  * stream (one collect of the EBM); an explicit collection's run issues
+  * one. Every analytic, SCC included, runs on the driver over the
+  * arrangement and issues none.
   */
 object CollectionExecutor {
 
@@ -35,7 +37,7 @@ object CollectionExecutor {
     * @param millis         the analytic's run time
     * @param viewEdges      |E_t| as a multiset of directed edges
     * @param maintainMillis edge maintenance: applying δ to the arrangement
-    *                       (view 0's includes the run's one stream collect)
+    *                       (view 0's includes the run's one stream read)
     * @param stop           why the view's run ended (see [[Engine.Stop]])
     */
   final case class ViewStat(t: Int, viewName: String, ranDiff: Boolean,

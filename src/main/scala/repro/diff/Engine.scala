@@ -9,8 +9,9 @@ object Engine {
 
   /** Materialize a frame into the block manager and cut its lineage:
     * Spark's own eager local checkpoint. A frame read several times (the
-    * EBM by its pattern histogram and by every read of its lazy difference
-    * stream, a bench graph by every pass) is computed once. No frame checkpointed here comes from an iterated
+    * EBM by its pattern histogram and by every `deltas()` call that expands
+    * the difference stream from it, a bench graph by every pass) is
+    * computed once. No frame checkpointed here comes from an iterated
     * or self-joined plan, so the plan statistics the checkpoint inherits
     * from its origin stay bounded. Not `persist`: the CacheManager would
     * keep every build's plan until `unpersist`, while a checkpoint's

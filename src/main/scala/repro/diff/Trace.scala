@@ -12,11 +12,9 @@ package repro.diff
   * initial value at j (iteration 0 is implicit). The trace is arranged
   * eagerly from its `(vid, iter, value)` change-points; both the scratch
   * run and the replay build it on the driver, so it takes O(change-points)
-  * driver memory. `perIter` counts the change-points of each iteration, so
-  * the horizon survives a rewrite without a scan.
+  * driver memory.
   */
-final class Trace private (byVid: Map[Long, Trace.Changes], perIter: Map[Int, Int],
-                           init: Long => Double) {
+final class Trace private (byVid: Map[Long, Trace.Changes], init: Long => Double) {
   import Trace._
 
   /** The value of `v` at iteration `j`: its latest change-point at or
@@ -33,8 +31,10 @@ final class Trace private (byVid: Map[Long, Trace.Changes], perIter: Map[Int, In
   /** The iteration of `v`'s last change-point, 0 when it never changed. */
   def lastChange(v: Long): Int = byVid.get(v).fold(0)(_.iters.last)
 
-  /** The largest iteration with any change-point (0 for none). */
-  def lastIter: Int = perIter.keys.maxOption.getOrElse(0)
+  /** The largest iteration with any change-point (0 for none): the latest
+    * of the vertices' last change-points, found once per trace.
+    */
+  lazy val lastIter: Int = byVid.valuesIterator.map(_.iters.last).maxOption.getOrElse(0)
 
   /** This trace with the entries of the given vertices rewritten: for each
     * `(v, examined, added)`, the change-points of `v` at iterations in
@@ -42,23 +42,17 @@ final class Trace private (byVid: Map[Long, Trace.Changes], perIter: Map[Int, In
     * in. The cost is proportional to the rewritten vertices' entries.
     */
   def rewrite(updates: Iterable[(Long, Int => Boolean, Seq[(Int, Double)])]): Trace = {
-    var nextByVid = byVid
-    var nextPerIter = perIter
-    def count(iters: Iterable[Int], d: Int): Unit = iters.foreach { j =>
-      val n = nextPerIter.getOrElse(j, 0) + d
-      nextPerIter = if (n == 0) nextPerIter - j else nextPerIter.updated(j, n)
-    }
+    var next = byVid
     for ((v, examined, added) <- updates) {
-      val old = nextByVid.get(v).fold(Seq.empty[(Int, Double)])(c => c.iters.toSeq.zip(c.values))
-      val kept = old.filterNot(cp => examined(cp._1))
-      val merged = (kept ++ added).sortBy(_._1)
-      count(old.map(_._1), -1)
-      count(merged.map(_._1), 1)
-      nextByVid =
-        if (merged.isEmpty) nextByVid - v
-        else nextByVid.updated(v, Changes(merged.map(_._1).toArray, merged.map(_._2).toArray))
+      val kept = next.get(v).fold(Seq.empty[(Int, Double)]) { c =>
+        c.iters.toSeq.zip(c.values).filterNot(cp => examined(cp._1))
+      }
+      val merged = if (kept.isEmpty) added else (kept ++ added).sortBy(_._1)
+      next =
+        if (merged.isEmpty) next - v
+        else next.updated(v, Changes(merged.map(_._1).toArray, merged.map(_._2).toArray))
     }
-    new Trace(nextByVid, nextPerIter, init)
+    new Trace(next, init)
   }
 }
 
@@ -76,7 +70,6 @@ object Trace {
         val sorted = cps.toArray.sortBy(_._2)
         v -> Changes(sorted.map(_._2), sorted.map(_._3))
       },
-      changePoints.groupBy(_._2).map { case (j, cps) => j -> cps.size },
       init)
 
   /** A trace without change-points and without initial values, for

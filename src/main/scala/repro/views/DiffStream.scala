@@ -1,7 +1,8 @@
 package repro.views
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
+import repro.diff.EdgeArrangement.Delta
 import scala.collection.mutable
 
 /** Edge difference stream (§3.2, step 3).
@@ -13,32 +14,31 @@ import scala.collection.mutable
   * δC_t = GV_t − ⋃_{s&lt;t} δC_s. An edge's flips depend only on its bits,
   * so they are listed once per distinct bit pattern ([[transitions]]): the
   * stream's length is a sum over [[Ebm.patterns]], and the stream itself is
-  * one `mapPartitions` that memoizes each pattern's flips within a
-  * partition (embarrassingly parallel, like the paper's TD dataflow).
+  * expanded on the driver, where the analytics read it, from the collected
+  * EBM rows.
   */
 object DiffStream {
 
-  /** Difference stream `t, eid, src, dst, weight, diff(+1|-1)` for the EBM
-    * under column ordering `order` (position t holds original view
-    * `order(t)`): per edge in EBM order, its flips with t ascending. A lazy
-    * frame; every read of it runs over the EBM again.
+  /** The difference stream on the driver for the EBM under column ordering
+    * `order` (position t holds original view `order(t)`): element t is
+    * δC_t, its rows per edge in EBM order. One Spark job collects the EBM's
+    * |E| rows `eid, src, dst, weight, bits`; each distinct pattern's flips
+    * are listed once.
     */
-  def compute(ebm: DataFrame, order: Seq[Int]): DataFrame = {
+  def deltas(ebm: DataFrame, order: Seq[Int]): IndexedSeq[Seq[Delta]] = {
     val ord = order.toIndexedSeq
-    val in = ebm.select("eid", "src", "dst", "weight", "bits")
-    val rows = in.rdd.mapPartitions { it =>
-      val memo = mutable.HashMap.empty[Seq[Long], Seq[(Int, Int)]]
-      it.flatMap { r =>
+    val byT = IndexedSeq.fill(ord.size)(Vector.newBuilder[Delta])
+    val memo = mutable.HashMap.empty[Seq[Long], Seq[(Int, Int)]]
+    ebm.select(col("eid").cast("long"), col("src").cast("long"), col("dst").cast("long"),
+               col("weight").cast("double"), col("bits"))
+      .collect()
+      .foreach { r =>
         val bits = r.getSeq[Long](4)
-        memo.getOrElseUpdate(bits, transitions(bits, ord)).iterator.map { case (t, d) =>
-          Row(t, r.get(0), r.get(1), r.get(2), r.get(3), d)
+        memo.getOrElseUpdate(bits, transitions(bits, ord)).foreach { case (t, d) =>
+          byT(t) += Delta(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3), d)
         }
       }
-    }
-    val schema = StructType(
-      StructField("t", IntegerType, nullable = false) +: in.schema.fields.take(4) :+
-      StructField("diff", IntegerType, nullable = false))
-    ebm.sparkSession.createDataFrame(rows, schema)
+    byT.map(_.result())
   }
 
   /** Total number of differences Σ_t |δC_t| for the EBM under `order` —

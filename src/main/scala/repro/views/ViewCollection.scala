@@ -1,26 +1,29 @@
 package repro.views
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.diff.Engine
 import repro.diff.EdgeArrangement.Delta
 import repro.graph.PropertyGraph
 import repro.gvdl.{Ast, Parser}
 import repro.ordering.{CollectionOrderer, Hamming}
+import scala.collection.mutable
 
 /** A view collection (§3.2): views organized as a single timestamped
-  * edge-difference stream.
+  * edge-difference stream, which the collection hands out on the driver.
   *
   * A collection built from predicates keeps its EBM checkpointed and its
   * stream factorized: `totalDiffs` and the ordering come from the EBM's
-  * distinct bit patterns, and `diffs` is a lazy frame over the EBM that
-  * each reader (`deltas()`, `viewEdges`) expands when it reads it.
+  * distinct bit patterns, and each call of `deltas` expands the stream
+  * from the EBM ([[DiffStream.deltas]]).
   *
   * @param name        collection name
   * @param viewNames   view names in *execution* order (after ordering)
   * @param order       σ: execution position → original view index
-  * @param diffs       difference stream `t, eid, src, dst, weight, diff`;
-  *                    built from predicates, a lazy frame over `ebm`
+  * @param deltas      the difference stream on the driver: `deltas()(t)`
+  *                    is δC_t (empty where view t equals view t−1). Built
+  *                    from predicates, each call runs one Spark job over
+  *                    the EBM and nothing is kept between calls; an
+  *                    explicit stream is held as given and costs none
   * @param numViews    k
   * @param totalDiffs  Σ_t |δC_t| (the COP objective value of `order`),
   *                    summed over bit patterns when built from predicates
@@ -33,38 +36,25 @@ final case class ViewCollection(
     name: String,
     viewNames: Seq[String],
     order: Seq[Int],
-    diffs: DataFrame,
+    deltas: () => IndexedSeq[Seq[Delta]],
     numViews: Int,
     totalDiffs: Long,
     ebm: Option[DataFrame],
     cct: ViewCollection.Cct) {
 
-  /** The difference stream on the driver: `deltas()(t)` is δC_t (empty where
-    * view t equals view t−1), rows in the order a frame of position t alone
-    * collects in. No copy is kept, so a collection that never runs
-    * analytics holds none on the driver. A stream built from predicates
-    * costs one Spark job per call, which expands it from the EBM; an
-    * explicit one is local and costs none.
+  /** The view at execution position t, Σ_{s<=t} δC_s, folded by eid on the
+    * driver from one read of `deltas` (each position's deletions before its
+    * additions, as [[repro.diff.EdgeArrangement]] applies them). A local
+    * frame `eid, src, dst, weight` in the active session.
     */
-  def deltas(): IndexedSeq[Seq[Delta]] = {
-    val byT = IndexedSeq.fill(numViews)(Vector.newBuilder[Delta])
-    diffs.select(col("t").cast("int"), col("eid").cast("long"), col("src").cast("long"),
-                 col("dst").cast("long"), col("weight").cast("double"), col("diff").cast("int"))
-      .collect()
-      .foreach(r => byT(r.getInt(0)) +=
-        Delta(r.getLong(1), r.getLong(2), r.getLong(3), r.getDouble(4), r.getInt(5)))
-    byT.map(_.result())
+  def viewEdges(t: Int): DataFrame = {
+    val live = mutable.LongMap.empty[Delta]
+    for (ds <- deltas().take(t + 1); d <- ds.sortBy(_.diff))
+      if (d.diff > 0) live(d.eid) = d else live -= d.eid
+    val spark = SparkSession.active
+    import spark.implicits._
+    live.values.toSeq.map(d => (d.eid, d.src, d.dst, d.weight)).toDF("eid", "src", "dst", "weight")
   }
-
-  /** The view at execution position t, folded from the difference stream:
-    * Σ_{s<=t} δC_s.
-    */
-  def viewEdges(t: Int): DataFrame =
-    diffs.where(col("t") <= t)
-      .groupBy("eid", "src", "dst", "weight")
-      .agg(sum("diff").as("m"))
-      .where(col("m") > 0)
-      .select("eid", "src", "dst", "weight")
 }
 
 object ViewCollection {
@@ -72,10 +62,9 @@ object ViewCollection {
   /** CCT breakdown, milliseconds. For a collection built from predicates:
     * `ebmMs` computes and checkpoints the EBM (Spark job 1); `orderMs`
     * counts its distinct bit patterns (job 2) and orders the views from
-    * them on the driver; `diffMs` sums Σ_t |δC_t| over the patterns and
-    * plans the lazy stream, on the driver. `patterns` is the number of
-    * distinct patterns (0 for an explicit-diff collection, whose `diffMs`
-    * is the local stream's construction).
+    * them on the driver; `diffMs` sums Σ_t |δC_t| over the patterns, on the
+    * driver. `patterns` is the number of distinct patterns. An explicit-diff
+    * collection holds its stream as given and records all three as 0.
     */
   final case class Cct(ebmMs: Long, orderMs: Long, diffMs: Long, patterns: Long = 0) {
     def totalMs: Long = ebmMs + orderMs + diffMs
@@ -92,8 +81,8 @@ object ViewCollection {
 
   /** Build a collection from named predicates (§3.2 steps 1–3) in two
     * Spark jobs: the EBM and its pattern histogram. Ordering and Σ_t |δC_t|
-    * run on the driver, once per distinct pattern; the stream is not
-    * materialized.
+    * run on the driver, once per distinct pattern; the stream is expanded
+    * only when `deltas` is read.
     */
   def build(graph: PropertyGraph, name: String,
             views: Seq[(String, Ast.Expr)],
@@ -115,7 +104,6 @@ object ViewCollection {
     val t2 = System.nanoTime()
 
     val total = DiffStream.count(patterns, order)
-    val diffs = DiffStream.compute(ebm, order)
     val t3    = System.nanoTime()
 
     val cct = Cct((t1 - t0) / 1000000, (t2 - t1) / 1000000, (t3 - t2) / 1000000,
@@ -124,7 +112,8 @@ object ViewCollection {
       Console.err.println(
         f"[cct] $name%s views=$k%d patterns=${cct.patterns}%d diffs=$total%d " +
         f"ebm=${cct.ebmMs}%d order=${cct.orderMs}%d diff=${cct.diffMs}%d ms")
-    ViewCollection(name, order.map(views(_)._1), order, diffs, k, total, Some(ebm), cct)
+    ViewCollection(name, order.map(views(_)._1), order, () => DiffStream.deltas(ebm, order), k,
+                   total, Some(ebm), cct)
   }
 
   /** Build from a GVDL `create view collection` statement. */
@@ -138,21 +127,13 @@ object ViewCollection {
 
   /** Build a collection from explicit per-view difference sets held on the
     * driver (the §5 controlled experiment / Table 2 construction: artificial
-    * collections made by random edge additions and removals). The stream
-    * is one local relation in the given row order, so building it runs no
-    * Spark job and reading it back runs none either.
+    * collections made by random edge additions and removals). `deltas()`
+    * returns `perView` as given, so neither building nor reading the stream
+    * runs a Spark job.
     */
-  def fromExplicitDiffs(spark: SparkSession, name: String,
-                        perView: Seq[Seq[Delta]]): ViewCollection = {
-    import spark.implicits._
-    val t0 = System.nanoTime()
-    val stream = perView.zipWithIndex
-      .flatMap { case (ds, t) => ds.map(d => (t, d.eid, d.src, d.dst, d.weight, d.diff)) }
-      .toDF("t", "eid", "src", "dst", "weight", "diff")
-    val t1 = System.nanoTime()
-    ViewCollection(
-      name, perView.indices.map(t => s"v$t"), perView.indices,
-      stream, perView.size, perView.map(_.size.toLong).sum, None,
-      Cct(0, 0, (t1 - t0) / 1000000))
+  def fromExplicitDiffs(name: String, perView: Seq[Seq[Delta]]): ViewCollection = {
+    val held = perView.toIndexedSeq
+    ViewCollection(name, held.indices.map(t => s"v$t"), held.indices, () => held, held.size,
+                   held.map(_.size.toLong).sum, None, Cct(0, 0, 0))
   }
 }

@@ -20,7 +20,7 @@ object TestGraphs {
     */
   def randomEdges(rnd: Random, nV: Int, nE: Int, eidBase: Long = 0L): Vector[E] =
     Vector.tabulate(nE) { i =>
-      var s = rnd.nextInt(nV)
+      val s = rnd.nextInt(nV)
       var d = rnd.nextInt(nV)
       while (d == s) d = rnd.nextInt(nV)
       E(eidBase + i, s.toLong, d.toLong, 1.0 + rnd.nextInt(9))
@@ -58,8 +58,7 @@ object TestGraphs {
   }
 
   /** Difference stream from explicit per-view edge lists (keyed by eid). */
-  def collectionFrom(spark: SparkSession, name: String,
-                     views: Seq[Seq[E]]): ViewCollection = {
+  def collectionFrom(name: String, views: Seq[Seq[E]]): ViewCollection = {
     def delta(e: E, diff: Int) = EdgeArrangement.Delta(e.eid, e.src, e.dst, e.w, diff)
     val perView = views.zipWithIndex.map { case (v, t) =>
       val prev = if (t == 0) Map.empty[Long, E] else views(t - 1).map(e => e.eid -> e).toMap
@@ -68,7 +67,7 @@ object TestGraphs {
       val dels = (prev.keySet -- cur.keySet).toSeq.map(prev).map(delta(_, -1))
       adds ++ dels
     }
-    ViewCollection.fromExplicitDiffs(spark, name, perView)
+    ViewCollection.fromExplicitDiffs(name, perView)
   }
 
   /** An edge list arranged as the collection loop arranges a view. */

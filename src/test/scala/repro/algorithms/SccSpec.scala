@@ -80,7 +80,7 @@ class SccSpec extends ReproSpec {
       val nV = 25
       val init = TestGraphs.randomEdges(rnd, nV, 60)
       val views = TestGraphs.perturbationViews(rnd, nV, init, 4, 10, 10)
-      val coll = TestGraphs.collectionFrom(spark, s"scc$seed", views)
+      val coll = TestGraphs.collectionFrom(s"scc$seed", views)
       val verts = TestGraphs.vertices(spark, nV)
       val run = CollectionExecutor.run(spark, Scc, verts, coll, DiffOnly, keepResults = true)
       val adaptive = CollectionExecutor.run(spark, Scc, verts, coll, Adaptive(1), keepResults = true)
@@ -98,7 +98,7 @@ class SccSpec extends ReproSpec {
     val nV = 25
     val init = TestGraphs.randomEdges(rnd, nV, 60)
     val views = TestGraphs.perturbationViews(rnd, nV, init, 3, 8, 8)
-    val coll = TestGraphs.collectionFrom(spark, "sccS", views)
+    val coll = TestGraphs.collectionFrom("sccS", views)
     val verts = TestGraphs.vertices(spark, nV)
     val run = CollectionExecutor.run(spark, Scc, verts, coll, ScratchOnly, keepResults = true)
     val adaptive = CollectionExecutor.run(spark, Scc, verts, coll, Adaptive(1), keepResults = true)
@@ -123,7 +123,7 @@ class SccSpec extends ReproSpec {
     val v1 = v0 ++ forward(200)
     val v2 = v1 ++ forward(300)
     val views = Vector(v0, v1, v2)
-    val coll = TestGraphs.collectionFrom(spark, "sccShare", views)
+    val coll = TestGraphs.collectionFrom("sccShare", views)
     val run = CollectionExecutor.run(spark, Scc, TestGraphs.vertices(spark, nV), coll, DiffOnly,
                                      keepResults = true)
     val scratchWork = run.stats.head.workRows

@@ -15,7 +15,7 @@ class CollectionExecutorSpec extends ReproSpec {
     val rnd = new Random(seed)
     val init = TestGraphs.randomEdges(rnd, nV, nV * 3)
     val lists = TestGraphs.perturbationViews(rnd, nV, init, views, add, del)
-    (lists, TestGraphs.collectionFrom(spark, s"exec$seed", lists))
+    (lists, TestGraphs.collectionFrom(s"exec$seed", lists))
   }
 
   test("diff-only, scratch, and adaptive all produce identical results") {
@@ -81,8 +81,9 @@ class CollectionExecutorSpec extends ReproSpec {
   }
 
   test("a collection run's Spark jobs do not grow with its number of views") {
-    // A GVDL collection: its stream lives in Spark, where an explicit
-    // collection's is a local relation that a run reads without a job.
+    // A GVDL collection: reading its stream collects the EBM, where an
+    // explicit collection holds its stream on the driver and a run reads
+    // it without a job.
     val g = repro.graph.GraphGen.callGraph(spark, nV = 60, nE = 300)
     val coll = repro.views.ViewCollection.fromGvdl(g,
       """create view collection jobs on Calls

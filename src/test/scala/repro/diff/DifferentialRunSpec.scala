@@ -47,7 +47,7 @@ class DifferentialRunSpec extends ReproSpec {
 
   private def checkViews(prog: Analytic, name: String, nV: Int,
                          viewLists: Seq[Seq[E]]): Unit = {
-    val coll = TestGraphs.collectionFrom(spark, name, viewLists)
+    val coll = TestGraphs.collectionFrom(name, viewLists)
     val run = CollectionExecutor.run(spark, prog, TestGraphs.vertices(spark, nV),
                                      coll, CollectionExecutor.DiffOnly, keepResults = true)
     for (t <- viewLists.indices) {
@@ -93,7 +93,7 @@ class DifferentialRunSpec extends ReproSpec {
     val rnd = new Random(5)
     val edges = TestGraphs.randomEdges(rnd, 20, 50)
     val viewLists = Vector(edges, edges, edges) // identical views
-    val coll = TestGraphs.collectionFrom(spark, "ident", viewLists)
+    val coll = TestGraphs.collectionFrom("ident", viewLists)
     val run = CollectionExecutor.run(spark, Wcc(), TestGraphs.vertices(spark, 20),
                                      coll, CollectionExecutor.DiffOnly, keepResults = true)
     assert(run.stats(1).iterations == 0)
@@ -106,7 +106,7 @@ class DifferentialRunSpec extends ReproSpec {
     val nV = 200
     val init = TestGraphs.randomEdges(rnd, nV, 600)
     val viewLists = TestGraphs.perturbationViews(rnd, nV, init, 3, 3, 3)
-    val coll = TestGraphs.collectionFrom(spark, "small", viewLists)
+    val coll = TestGraphs.collectionFrom("small", viewLists)
     val run = CollectionExecutor.run(spark, Bfs(0L), TestGraphs.vertices(spark, nV),
                                      coll, CollectionExecutor.DiffOnly, keepResults = true)
     val scratchWork = run.stats.head.workRows // |V| × iterations of view 0
@@ -126,7 +126,7 @@ class DifferentialRunSpec extends ReproSpec {
     val chain = (0 until 4).map(k => E(k, k.toLong, k + 1L, 1.0))
     val v0 = chain :+ E(4, 0L, 4L, 1.0)
     val viewLists = Vector(v0, chain)
-    val coll = TestGraphs.collectionFrom(spark, "shortcut", viewLists)
+    val coll = TestGraphs.collectionFrom("shortcut", viewLists)
     val run = CollectionExecutor.run(spark, Sssp(0L), TestGraphs.vertices(spark, 5),
                                      coll, CollectionExecutor.DiffOnly, keepResults = true)
     assert(run.stats(1).ranDiff)
@@ -141,7 +141,7 @@ class DifferentialRunSpec extends ReproSpec {
     * diff-only result must match the scratch-only one.
     */
   private def checkAllModes(name: String, nV: Int, viewLists: Seq[Seq[E]]): Unit = {
-    val coll = TestGraphs.collectionFrom(spark, name, viewLists)
+    val coll = TestGraphs.collectionFrom(name, viewLists)
     val verts = TestGraphs.vertices(spark, nV)
     import CollectionExecutor.{Adaptive, DiffOnly, ScratchOnly}
     for (prog <- programs) {
@@ -237,7 +237,7 @@ class DifferentialRunSpec extends ReproSpec {
     val v0 = edges((0, 1, 1.0), (1, 2, 1.0), (2, 3, -1.0), (3, 4, 2.0))
     val v1 = v0 :+ E(4, 4, 1, 1.0)
     val v2 = v1 :+ E(5, 2, 1, -4.0)
-    val coll = TestGraphs.collectionFrom(spark, "negcycle", Vector(v0, v1, v2))
+    val coll = TestGraphs.collectionFrom("negcycle", Vector(v0, v1, v2))
     for (mode <- Seq(CollectionExecutor.DiffOnly, CollectionExecutor.ScratchOnly)) {
       val run = CollectionExecutor.run(spark, Sssp(0L), TestGraphs.vertices(spark, 5), coll, mode)
       val stops = run.stats.map(_.stop)
@@ -253,7 +253,7 @@ class DifferentialRunSpec extends ReproSpec {
     val b = TestGraphs.randomEdges(rnd, nV, 80, eidBase = 1000)
     val c = TestGraphs.randomEdges(rnd, nV, 80, eidBase = 2000)
     val viewLists = Vector(a, b, c)
-    val coll = TestGraphs.collectionFrom(spark, "disjoint", viewLists)
+    val coll = TestGraphs.collectionFrom("disjoint", viewLists)
     val run = CollectionExecutor.run(spark, Wcc(), TestGraphs.vertices(spark, nV),
                                      coll, CollectionExecutor.DiffOnly, keepResults = true)
     for (t <- viewLists.indices)

@@ -84,7 +84,7 @@ class ScratchRunSpec extends ReproSpec {
     val chain = (0 until 6).map(i => E(i.toLong, i.toLong, i + 1L, 1.0))
     val view1 = chain.tail :+ E(6L, 0L, 2L, 1.0) // 0→1 replaced by 0→2
     val verts = TestGraphs.vertexIds(7)
-    val coll = TestGraphs.collectionFrom(spark, "capped", Seq(chain, view1))
+    val coll = TestGraphs.collectionFrom("capped", Seq(chain, view1))
     val edges = TestGraphs.arrangement(chain)
 
     val capped = CappedBfs.fromScratch(verts, edges)

@@ -1,7 +1,6 @@
 package repro.diff
 
-import org.apache.spark.sql.functions._
-import repro.{ReproSpec, TestGraphs}
+import repro.ReproSpec
 import repro.algorithms.{Reference, Sssp}
 import repro.diff.EdgeArrangement.Delta
 import repro.graph.GraphGen
@@ -24,7 +23,7 @@ class Table1ExampleSpec extends ReproSpec {
     val v1 = Seq(Delta(0L, 0L, 1L, 2.0, -1), Delta(1000L, 0L, 1L, 1.0, 1))
     // G2: change (s,w2) cost 10→1.
     val v2 = Seq(Delta(1L, 0L, 2L, 10.0, -1), Delta(1001L, 0L, 2L, 1.0, 1))
-    (g, ViewCollection.fromExplicitDiffs(spark, "bf-example", Seq(v0, v1, v2)))
+    (g, ViewCollection.fromExplicitDiffs("bf-example", Seq(v0, v1, v2)))
   }
 
   test("distances per version match Table 1's Bellman-Ford results") {

@@ -27,7 +27,7 @@ class TraceSpec extends ReproSpec {
       val nV = 35
       val init = TestGraphs.randomEdges(rnd, nV, 100)
       val views = TestGraphs.perturbationViews(rnd, nV, init, 3, 8, 8)
-      val coll = TestGraphs.collectionFrom(spark, s"trace$seed", views)
+      val coll = TestGraphs.collectionFrom(s"trace$seed", views)
       val verts = TestGraphs.vertexIds(nV)
       val edges = TestGraphs.arrangement(views(0))
 

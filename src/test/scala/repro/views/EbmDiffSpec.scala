@@ -6,6 +6,7 @@ import repro.{Oracle, ReproSpec, TestGraphs}
 import repro.diff.EdgeArrangement.Delta
 import repro.graph.{GraphGen, PropertyGraph}
 import repro.gvdl.{Compiler, Parser}
+import scala.collection.mutable
 import scala.util.Random
 
 /** EBM (§3.2 step 1) and difference-stream (§3.2 step 3) semantics. */
@@ -17,6 +18,8 @@ class EbmDiffSpec extends ReproSpec {
     "year <= 2013", "year <= 2016 and duration <= 20")
   private lazy val preds = predTexts.map(Parser.parsePredicate)
   private lazy val ebm = Ebm.compute(graph, preds).localCheckpoint(true)
+
+  private def eids(df: DataFrame): Set[Long] = df.select("eid").collect().map(_.getLong(0)).toSet
 
   test("EBM has one row per edge with packed bits") {
     assert(ebm.count() == graph.edges.count())
@@ -67,7 +70,6 @@ class EbmDiffSpec extends ReproSpec {
     val ps = nullTexts.map(Parser.parsePredicate)
     val m = Ebm.compute(g, ps)
     val cols = g.resolved.columns.toSeq
-    def eids(df: DataFrame) = df.select("eid").collect().map(_.getLong(0)).toSet
     for ((p, j) <- ps.zipWithIndex) {
       val direct = eids(g.resolved.where(Compiler.edgePredicate(p, cols)))
       assert(eids(EbmReference.viewEdges(m, j)) == direct, s"view $j '${nullTexts(j)}'")
@@ -91,39 +93,33 @@ class EbmDiffSpec extends ReproSpec {
 
   test("difference stream reconstitutes every view (Σ_{s≤t} δC_s = GV_t)") {
     val order = 0 until predTexts.size
-    val diffs = DiffStream.compute(ebm, order).localCheckpoint(true)
+    val ds = DiffStream.deltas(ebm, order)
+    val live = mutable.Set.empty[Long]
     for (t <- order) {
-      val folded = diffs.where(col("t") <= t)
-        .groupBy("eid").agg(sum("diff").as("m"))
-        .where(col("m") > 0)
-      assert(folded.count() == EbmReference.viewEdges(ebm, t).count(), s"view $t size")
+      ds(t).foreach(d => if (d.diff > 0) live += d.eid else live -= d.eid)
       // Exactly the same edge set, not just the same size.
-      val mismatch = folded.select("eid")
-        .join(EbmReference.viewEdges(ebm, t).select(col("eid").as("eid2")),
-              col("eid") === col("eid2"), "full_outer")
-        .where(col("eid").isNull || col("eid2").isNull)
-        .count()
-      assert(mismatch == 0, s"view $t membership")
+      assert(live == eids(EbmReference.viewEdges(ebm, t)), s"view $t membership")
     }
   }
 
-  /** `coll.diffs` is the stream built edge by edge (`EbmReference.stream`)
-    * over the collection's EBM and order: row for row and in order, both
-    * bucketed by t and whole, and as long as `totalDiffs`.
+  /** `deltas()` is the stream built edge by edge (`EbmReference.stream`)
+    * over the collection's EBM and order: position t holds the reference's
+    * rows of t, in order, and the positions sum to `totalDiffs`.
     */
   private def assertStreamIsReference(coll: ViewCollection): Unit = {
-    def rows(df: DataFrame) =
-      df.select(col("t").cast("int"), col("eid").cast("long"), col("src").cast("long"),
-                col("dst").cast("long"), col("weight").cast("double"), col("diff").cast("int"))
-        .collect().toSeq
-        .map(r => (r.getInt(0), Delta(r.getLong(1), r.getLong(2), r.getLong(3), r.getDouble(4),
-                                      r.getInt(5))))
-    val got = rows(coll.diffs)
-    val want = rows(EbmReference.stream(coll.ebm.get, coll.order))
+    val want = EbmReference.stream(coll.ebm.get, coll.order)
+      .select(col("t").cast("int"), col("eid").cast("long"), col("src").cast("long"),
+              col("dst").cast("long"), col("weight").cast("double"), col("diff").cast("int"))
+      .collect().toSeq
+      .map(r => (r.getInt(0), Delta(r.getLong(1), r.getLong(2), r.getLong(3), r.getDouble(4),
+                                    r.getInt(5))))
+    val wantByT = want.groupMap(_._1)(_._2)
+    val got = coll.deltas()
     assert(want.nonEmpty, s"${coll.name}: empty stream")
-    assert(got.groupBy(_._1) == want.groupBy(_._1), s"${coll.name} by t")
-    assert(got == want, coll.name)
-    assert(coll.diffs.count() == coll.totalDiffs, coll.name)
+    assert(got.size == coll.numViews, coll.name)
+    for (t <- 0 until coll.numViews)
+      assert(got(t) == wantByT.getOrElse(t, Nil), s"${coll.name} view $t")
+    assert(got.map(_.size).sum == coll.totalDiffs, coll.name)
     assert(coll.totalDiffs == want.size, coll.name)
   }
 
@@ -157,50 +153,48 @@ class EbmDiffSpec extends ReproSpec {
     assertStreamIsReference(ViewCollection.fromGvdl(graph, gvdl))
   }
 
-  /** `deltas()` is the stream: one bucket per position, holding the rows of
-    * that position in the order a frame of them alone collects in.
-    */
-  private def assertDeltasAreTheStream(coll: ViewCollection): IndexedSeq[Seq[Delta]] = {
-    val ds = coll.deltas()
-    assert(ds.size == coll.numViews)
-    assert(ds.map(_.size).sum == coll.totalDiffs)
-    for (t <- 0 until coll.numViews) {
-      val rows = coll.diffs.where(col("t") === t)
-        .select(col("eid").cast("long"), col("src").cast("long"), col("dst").cast("long"),
-                col("weight").cast("double"), col("diff").cast("int"))
-        .collect().toSeq
-        .map(r => Delta(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3), r.getInt(4)))
-      assert(ds(t) == rows, s"${coll.name} view $t")
-    }
-    ds
+  private lazy val shuffled = {
+    val gvdl = Seq(4, 1, 3, 0, 2).map(j => s"[p$j: ${predTexts(j)}]")
+      .mkString("create view collection c on Calls ", ", ", "")
+    ViewCollection.fromGvdl(graph, gvdl, ViewCollection.GraphsurgeOrder)
   }
 
   test("deltas() is the difference stream, position by position and in order") {
-    val gvdl = Seq(4, 1, 3, 0, 2).map(j => s"[p$j: ${predTexts(j)}]")
-      .mkString("create view collection c on Calls ", ", ", "")
-    val gvdlColl = ViewCollection.fromGvdl(graph, gvdl, ViewCollection.GraphsurgeOrder)
-    assert(gvdlColl.order != gvdlColl.order.sorted, "the Graphsurge order is the identity")
-    assertDeltasAreTheStream(gvdlColl)
+    assert(shuffled.order != shuffled.order.sorted, "the Graphsurge order is the identity")
+    assertStreamIsReference(shuffled)
 
     val rnd = new Random(7)
     val init = TestGraphs.randomEdges(rnd, 20, 60)
-    val views = TestGraphs.perturbationViews(rnd, 20, init, 4, 5, 5)
-    val ds = assertDeltasAreTheStream(
-      TestGraphs.collectionFrom(spark, "explicit", views :+ views.last))
+    // The fifth view returns to the first, re-adding the eids deleted since,
+    // and the sixth repeats it.
+    val views = TestGraphs.perturbationViews(rnd, 20, init, 4, 5, 5) :+ init :+ init
+    val coll = TestGraphs.collectionFrom("explicit", views)
+    val ds = coll.deltas()
+    assert(ds.size == coll.numViews)
+    assert(ds.map(_.size).sum == coll.totalDiffs)
     assert(ds.last.isEmpty) // a view identical to the one before it
+    for (t <- views.indices)
+      assert(eids(coll.viewEdges(t)) == views(t).map(_.eid).toSet, s"view $t")
+  }
+
+  test("viewEdges(t) is the EBM's view at position t (Graphsurge order)") {
+    val m = shuffled.ebm.get
+    for (t <- 0 until shuffled.numViews)
+      assert(eids(shuffled.viewEdges(t)) == eids(EbmReference.viewEdges(m, shuffled.order(t))),
+             s"view $t")
   }
 
   test("diff multiplicities are only +1/-1 and first occurrence is +1") {
-    val diffs = DiffStream.compute(ebm, 0 until predTexts.size)
-    assert(diffs.where(abs(col("diff")) =!= 1).count() == 0)
-    val firsts = diffs.groupBy("eid").agg(min_by(col("diff"), col("t")).as("first"))
-    assert(firsts.where(col("first") =!= 1).count() == 0)
+    val rows = DiffStream.deltas(ebm, 0 until predTexts.size).flatten
+    assert(rows.nonEmpty && rows.forall(d => math.abs(d.diff) == 1))
+    // Positions are in ascending t, and groupBy keeps each edge's rows in order.
+    assert(rows.groupBy(_.eid).values.forall(_.head.diff == 1))
   }
 
   test("countDiffs equals materialized stream length for any order") {
     val order = Seq(3, 0, 4, 1, 2)
     val n = DiffStream.countDiffs(ebm, order)
-    assert(n == DiffStream.compute(ebm, order).count())
+    assert(n == DiffStream.deltas(ebm, order).map(_.size).sum)
   }
 
   test("inclusion-chain order yields fewer diffs than a bad order") {
@@ -227,9 +221,8 @@ class EbmDiffSpec extends ReproSpec {
       .withColumn("src", col("eid")).withColumn("dst", col("eid") + 1)
     val packed = Ebm.fromBoolColumns(df,
       Seq(col("v1") === 1, col("v2") === 1, col("v3") === 1))
-    val diffs = DiffStream.compute(packed, Seq(0, 1, 2))
-      .select("eid", "t", "diff").collect()
-      .map(r => (r.getLong(0), r.getInt(1), r.getInt(2))).toSet
+    val diffs = DiffStream.deltas(packed, Seq(0, 1, 2)).zipWithIndex
+      .flatMap { case (ds, t) => ds.map(d => (d.eid, t, d.diff)) }.toSet
     val expected = Set(
       (0L, 0, 1), (0L, 1, -1),
       (1L, 0, 1), (1L, 1, -1), (1L, 2, 1),
