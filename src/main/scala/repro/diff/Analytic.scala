@@ -6,7 +6,8 @@ import Engine.RunResult
 /** An analytic the collection loop ([[CollectionExecutor]]) can run on a
   * view: from scratch on the view's edges, or by advancing the previous
   * view's result with the view's difference set. Vertex programs advance
-  * by trace replay ([[DifferentialRun]]); SCC by condensation.
+  * by trace replay ([[DifferentialRun]]); SCC by condensation and one
+  * Tarjan DFS over the quotient ([[repro.algorithms.Scc]]).
   *
   * Both take the view's edges as the collection loop's arrangement, already
   * advanced to the view, and run on the driver: every analytic, SCC

@@ -16,11 +16,11 @@ import Engine._
   * The loop reads the difference stream once ([[ViewCollection.deltas]])
   * and keeps one [[EdgeArrangement]] of the current view's edges E_t on the
   * driver, built from δ_0 and advanced by each view's δ, so edge maintenance
-  * costs O(|δ|) per view. A run issues two Spark jobs however many views it
-  * has: the vertex ids and, for a collection built from predicates, the
-  * stream (one collect of the EBM); an explicit collection's run issues
-  * one. Every analytic, SCC included, runs on the driver over the
-  * arrangement and issues none.
+  * costs O(|δ|) per view. A run issues one Spark job however many views it
+  * has, the vertex ids: a collection built from predicates expands its
+  * stream from its local EBM frame, and an explicit one holds its stream,
+  * so reading either issues none. Every analytic, SCC included, runs on
+  * the driver over the arrangement and issues none.
   */
 object CollectionExecutor {
 

@@ -3,19 +3,18 @@ package repro.diff
 import org.apache.spark.sql.DataFrame
 
 /** Shared plumbing: the record every [[Analytic]] run returns, and the
-  * checkpoint of collection-building frames.
+  * checkpoint of frames read several times.
   */
 object Engine {
 
   /** Materialize a frame into the block manager and cut its lineage:
-    * Spark's own eager local checkpoint. A frame read several times (the
-    * EBM by its pattern histogram and by every `deltas()` call that expands
-    * the difference stream from it, a bench graph by every pass) is
-    * computed once. No frame checkpointed here comes from an iterated
-    * or self-joined plan, so the plan statistics the checkpoint inherits
-    * from its origin stay bounded. Not `persist`: the CacheManager would
-    * keep every build's plan until `unpersist`, while a checkpoint's
-    * blocks go with its frame.
+    * Spark's own eager local checkpoint. A frame read several times (a
+    * bench graph by every pass or cell) is computed once. A collection's
+    * EBM does not come here: its build collects it into a local frame. No
+    * frame checkpointed here comes from an iterated or self-joined plan,
+    * so the plan statistics the checkpoint inherits from its origin stay
+    * bounded. Not `persist`: the CacheManager would keep every plan until
+    * `unpersist`, while a checkpoint's blocks go with its frame.
     */
   def ckpt(df: DataFrame): DataFrame = df.localCheckpoint(eager = true)
 
@@ -26,9 +25,11 @@ object Engine {
     *                   difference representation of the iteration sequence
     *                   (iteration-0 inits are implicit: they are the
     *                   program's `init`); `trace.lastIter` is the horizon
-    * @param iterations number of iterations actually executed
+    * @param iterations number of iterations actually executed (for SCC,
+    *                   1: one DFS)
     * @param workRows   Σ over executed iterations of recomputed-vertex
-    *                   counts (for SCC, of vertices its sweeps examine) —
+    *                   counts (for SCC, the vertices plus the edges its DFS
+    *                   visits) —
     *                   the "computation footprint touched", used by tests
     *                   to prove sharing happens
     * @param iterStats  per-iteration records of a differential replay

@@ -37,12 +37,6 @@ object CollectionOrderer {
     Ordering(path.map(_ - 1), c)
   }
 
-  /** COP objective of an arbitrary ordering, from the distance matrix. */
-  def diffsOf(d: Array[Array[Double]], order: Seq[Int]): Double = {
-    val path = order.map(_ + 1)
-    d(0)(path.head) + Tsp.pathCost(d, path)
-  }
-
   /** A seeded random ordering (the Table 4 baseline). */
   def randomOrder(k: Int, seed: Long): Seq[Int] =
     new scala.util.Random(seed).shuffle((0 until k).toVector)

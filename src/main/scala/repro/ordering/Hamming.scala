@@ -15,8 +15,8 @@ import repro.views.Ebm
   */
 object Hamming {
 
-  /** (k+1)×(k+1) distance matrix, index 0 = padded zero column. One Spark
-    * job: the pattern histogram.
+  /** (k+1)×(k+1) distance matrix, index 0 = padded zero column, from the
+    * EBM's pattern histogram.
     */
   def distances(ebm: DataFrame, k: Int): Array[Array[Double]] =
     fromPatterns(Ebm.patterns(ebm), k)

@@ -14,16 +14,17 @@ import scala.collection.mutable
   * δC_t = GV_t − ⋃_{s&lt;t} δC_s. An edge's flips depend only on its bits,
   * so they are listed once per distinct bit pattern ([[transitions]]): the
   * stream's length is a sum over [[Ebm.patterns]], and the stream itself is
-  * expanded on the driver, where the analytics read it, from the collected
-  * EBM rows.
+  * expanded on the driver, where the analytics read it, from the EBM rows.
+  * On a collection's EBM, a local frame on the driver, neither starts a
+  * Spark job.
   */
 object DiffStream {
 
   /** The difference stream on the driver for the EBM under column ordering
     * `order` (position t holds original view `order(t)`): element t is
-    * δC_t, its rows per edge in EBM order. One Spark job collects the EBM's
-    * |E| rows `eid, src, dst, weight, bits`; each distinct pattern's flips
-    * are listed once.
+    * δC_t, its rows per edge in EBM order. It reads the EBM's |E| rows
+    * `eid, src, dst, weight, bits` (a Spark job unless the frame is local);
+    * each distinct pattern's flips are listed once.
     */
   def deltas(ebm: DataFrame, order: Seq[Int]): IndexedSeq[Seq[Delta]] = {
     val ord = order.toIndexedSeq
@@ -42,8 +43,8 @@ object DiffStream {
   }
 
   /** Total number of differences Σ_t |δC_t| for the EBM under `order` —
-    * the COP objective (Definition 1). One Spark job (the pattern
-    * histogram); the stream is not materialized.
+    * the COP objective (Definition 1), from the pattern histogram; the
+    * stream is not materialized.
     */
   def countDiffs(ebm: DataFrame, order: Seq[Int]): Long = count(Ebm.patterns(ebm), order)
 

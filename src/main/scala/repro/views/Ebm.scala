@@ -152,23 +152,18 @@ object Ebm {
   def isSet(bits: Seq[Long], j: Int): Boolean = (bits(j / 64) & (1L << (j % 64))) != 0L
 
   /** The EBM's distinct rows (bit patterns), each with the number of edges
-    * that have it, in no particular order. One Spark job: each partition
-    * counts its own patterns and `treeAggregate` merges the counts. Everything
-    * that depends on an edge only through its bits — the Hamming clique,
-    * Σ_t |δC_t| under any order — is a sum over these patterns, and there
-    * are at most min(|E|, 3^#atoms) of them.
+    * that have it, in no particular order: a histogram on the driver over
+    * the collected `bits` column, so on a collection's local EBM frame no
+    * Spark job runs. Everything that depends on an edge only through its
+    * bits — the Hamming clique, Σ_t |δC_t| under any order — is a sum over
+    * these patterns, and there are at most min(|E|, 3^#atoms) of them.
     */
-  def patterns(ebm: DataFrame): Seq[(Seq[Long], Long)] =
-    ebm.select("bits").rdd
-      .treeAggregate(mutable.HashMap.empty[Seq[Long], Long])(
-        (counts, r) => {
-          val bits = r.getSeq[Long](0)
-          counts(bits) = counts.getOrElse(bits, 0L) + 1L
-          counts
-        },
-        (x, y) => {
-          y.foreach { case (bits, n) => x(bits) = x.getOrElse(bits, 0L) + n }
-          x
-        })
-      .toSeq
+  def patterns(ebm: DataFrame): Seq[(Seq[Long], Long)] = {
+    val counts = mutable.HashMap.empty[Seq[Long], Long]
+    ebm.select("bits").collect().foreach { r =>
+      val bits = r.getSeq[Long](0)
+      counts(bits) = counts.getOrElse(bits, 0L) + 1L
+    }
+    counts.toSeq
+  }
 }

@@ -1,7 +1,6 @@
 package repro.views
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.diff.Engine
 import repro.diff.EdgeArrangement.Delta
 import repro.graph.PropertyGraph
 import repro.gvdl.{Ast, Parser}
@@ -11,25 +10,26 @@ import scala.collection.mutable
 /** A view collection (§3.2): views organized as a single timestamped
   * edge-difference stream, which the collection hands out on the driver.
   *
-  * A collection built from predicates keeps its EBM checkpointed and its
-  * stream factorized: `totalDiffs` and the ordering come from the EBM's
-  * distinct bit patterns, and each call of `deltas` expands the stream
-  * from the EBM ([[DiffStream.deltas]]).
+  * A collection built from predicates keeps its EBM collected on the driver
+  * as a local frame and its stream factorized: `totalDiffs` and the
+  * ordering come from the EBM's distinct bit patterns, and each call of
+  * `deltas` expands the stream from the EBM ([[DiffStream.deltas]]).
   *
   * @param name        collection name
   * @param viewNames   view names in *execution* order (after ordering)
   * @param order       σ: execution position → original view index
   * @param deltas      the difference stream on the driver: `deltas()(t)`
   *                    is δC_t (empty where view t equals view t−1). Built
-  *                    from predicates, each call runs one Spark job over
-  *                    the EBM and nothing is kept between calls; an
-  *                    explicit stream is held as given and costs none
+  *                    from predicates, each call expands the local EBM on
+  *                    the driver and nothing is kept between calls; an
+  *                    explicit stream is held as given. Neither runs a
+  *                    Spark job
   * @param numViews    k
   * @param totalDiffs  Σ_t |δC_t| (the COP objective value of `order`),
   *                    summed over bit patterns when built from predicates
-  * @param ebm         the packed edge boolean matrix, checkpointed, when
-  *                    built from predicates (absent for explicit-diff
-  *                    collections)
+  * @param ebm         the packed edge boolean matrix as a local frame over
+  *                    its collected rows, when built from predicates
+  *                    (absent for explicit-diff collections)
   * @param cct         collection creation time breakdown, milliseconds
   */
 final case class ViewCollection(
@@ -60,11 +60,12 @@ final case class ViewCollection(
 object ViewCollection {
 
   /** CCT breakdown, milliseconds. For a collection built from predicates:
-    * `ebmMs` computes and checkpoints the EBM (Spark job 1); `orderMs`
-    * counts its distinct bit patterns (job 2) and orders the views from
-    * them on the driver; `diffMs` sums Σ_t |δC_t| over the patterns, on the
-    * driver. `patterns` is the number of distinct patterns. An explicit-diff
-    * collection holds its stream as given and records all three as 0.
+    * `ebmMs` computes the EBM and collects it to the driver (the build's one
+    * Spark job); `orderMs` counts its distinct bit patterns and orders the
+    * views from them; `diffMs` sums Σ_t |δC_t| over the patterns. Both run
+    * on the driver. `patterns` is the number of distinct patterns. An
+    * explicit-diff collection holds its stream as given and records all
+    * three as 0.
     */
   final case class Cct(ebmMs: Long, orderMs: Long, diffMs: Long, patterns: Long = 0) {
     def totalMs: Long = ebmMs + orderMs + diffMs
@@ -79,10 +80,11 @@ object ViewCollection {
   /** Seeded random order (Table 4 baseline). */
   final case class RandomOrder(seed: Long) extends OrderStrategy
 
-  /** Build a collection from named predicates (§3.2 steps 1–3) in two
-    * Spark jobs: the EBM and its pattern histogram. Ordering and Σ_t |δC_t|
-    * run on the driver, once per distinct pattern; the stream is expanded
-    * only when `deltas` is read.
+  /** Build a collection from named predicates (§3.2 steps 1–3) in one
+    * Spark job, which computes the EBM and collects it into a local frame.
+    * The pattern histogram, the ordering and Σ_t |δC_t| run on the driver,
+    * the last two once per distinct pattern; the stream is expanded only
+    * when `deltas` is read.
     */
   def build(graph: PropertyGraph, name: String,
             views: Seq[(String, Ast.Expr)],
@@ -91,7 +93,9 @@ object ViewCollection {
     require(k >= 1, "a view collection needs at least one view")
 
     val t0  = System.nanoTime()
-    val ebm = Engine.ckpt(Ebm.compute(graph, views.map(_._2)))
+    val computed = Ebm.compute(graph, views.map(_._2))
+    val ebm = computed.sparkSession.createDataFrame(
+      java.util.Arrays.asList(computed.collect(): _*), computed.schema)
     val t1  = System.nanoTime()
 
     val patterns = Ebm.patterns(ebm)

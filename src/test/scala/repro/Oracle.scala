@@ -2,9 +2,11 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import scala.collection.mutable
 
-/** DuckDB correctness oracle.
+/** Correctness oracles that share no code with the engine.
   *
+  * DuckDB:
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
   * match ``sparkDf``. This catches wrong results from a rewritten plan
@@ -72,5 +74,46 @@ object Oracle {
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
     } finally conn.close()
+  }
+
+  /** SCCs by Kosaraju's two passes: DFS finish order on the graph, then a
+    * search on the transpose from each unassigned vertex in reverse finish
+    * order, each search's reach one SCC. Every
+    * vertex maps to the minimum vid of its SCC; edges with an endpoint
+    * outside `vertices` are ignored. Independent of the Tarjan DFS that
+    * both `Scc` and `Reference.scc` use.
+    */
+  def kosaraju(vertices: Seq[Long], edges: Seq[(Long, Long)]): Map[Long, Long] = {
+    val vs = vertices.toSet
+    val kept = edges.filter { case (s, d) => vs(s) && vs(d) }
+    val out = kept.groupMap(_._1)(_._2)
+    val in = kept.groupMap(_._2)(_._1)
+
+    val seen = mutable.Set.empty[Long]
+    val finished = mutable.ArrayBuffer.empty[Long]
+    for (root <- vertices if seen.add(root)) {
+      val stack = mutable.Stack((root, out.getOrElse(root, Nil).iterator))
+      while (stack.nonEmpty) {
+        val (v, it) = stack.top
+        it.find(seen.add) match {
+          case Some(w) => stack.push((w, out.getOrElse(w, Nil).iterator))
+          case None    => stack.pop(); finished += v
+        }
+      }
+    }
+
+    val comp = mutable.Map.empty[Long, Long]
+    for (root <- finished.reverseIterator if !comp.contains(root)) {
+      val tree = mutable.ArrayBuffer(root)
+      comp(root) = root
+      var i = 0
+      while (i < tree.size) {
+        for (w <- in.getOrElse(tree(i), Nil) if !comp.contains(w)) { comp(w) = root; tree += w }
+        i += 1
+      }
+      val id = tree.min
+      tree.foreach(comp(_) = id)
+    }
+    comp.toMap
   }
 }

@@ -1,6 +1,6 @@
 package repro.algorithms
 
-import repro.{ReproSpec, TestGraphs}
+import repro.{Oracle, ReproSpec, TestGraphs}
 import repro.TestGraphs.E
 import repro.diff.CollectionExecutor
 import repro.diff.CollectionExecutor.{Adaptive, DiffOnly, ScratchOnly}
@@ -8,7 +8,9 @@ import repro.diff.EdgeArrangement.Delta
 import repro.diff.Engine.RunResult
 import scala.util.Random
 
-/** SCC: coloring-from-scratch and condensation-incremental vs Tarjan. */
+/** SCC: Tarjan-from-scratch and condensation-incremental vs the Tarjan
+  * reference and a Kosaraju oracle.
+  */
 class SccSpec extends ReproSpec {
 
   private def ids(run: RunResult): Map[Long, Long] =
@@ -39,11 +41,13 @@ class SccSpec extends ReproSpec {
       val rnd = new Random(seed)
       val nV = 30 + rnd.nextInt(20)
       val edges = TestGraphs.randomEdges(rnd, nV, nV * 2)
-      assert(sccScratch(nV, edges) == sccRef(nV, edges))
+      val got = sccScratch(nV, edges)
+      assert(got == sccRef(nV, edges))
+      assert(got == Oracle.kosaraju((0L until nV).toSeq, edges.map(e => (e.src, e.dst))))
     }
   }
 
-  test("coloring SCC on a pure DAG yields singletons (trim path)") {
+  test("SCC on a pure DAG yields singletons") {
     val rnd = new Random(9)
     // dst < src always → DAG.
     val edges = Vector.tabulate(60) { i =>
@@ -106,6 +110,52 @@ class SccSpec extends ReproSpec {
       assert(run.results(t) == asIds(sccRef(nV, views(t))), s"view $t")
       assert(adaptive.results(t) == asIds(sccRef(nV, views(t))), s"adaptive view $t")
     }
+  }
+
+  /** `views` through the collection loop in every mode, each view against
+    * the reference.
+    */
+  private def allModesMatch(name: String, nV: Int, views: Vector[Vector[E]]): Unit = {
+    val coll = TestGraphs.collectionFrom(name, views)
+    val verts = TestGraphs.vertices(spark, nV)
+    for (mode <- Seq(DiffOnly, ScratchOnly, Adaptive(1))) {
+      val run = CollectionExecutor.run(spark, Scc, verts, coll, mode, keepResults = true)
+      if (mode == DiffOnly) run.stats.drop(1).foreach(s => assert(s.ranDiff, s"view ${s.t}"))
+      for (t <- views.indices)
+        assert(run.results(t) == asIds(sccRef(nV, views(t))), s"$mode view $t")
+    }
+  }
+
+  test("additions that close one long cycle over several views, in every mode") {
+    // Four 15-vertex paths, each closed into a cycle, with 59→0 from the
+    // last to the first. Views 1–3 each add one link between consecutive
+    // paths; view 3's closes the ring of all four, one 60-vertex SCC.
+    val nV = 60
+    val paths = (0 until nV).filter(_ % 15 != 14).map(v => (v.toLong, v + 1L))
+    val backs = (0 until 4).map(p => (15L * p + 14, 15L * p))
+    val base = (paths ++ backs :+ (59L -> 0L)).zipWithIndex.map { case ((s, d), i) => E(i, s, d, 1.0) }
+    val links = Seq(14, 29, 44).zipWithIndex.map { case (v, i) => E(1000 + i, v, v + 1L, 1.0) }
+    val views = (0 to 3).map(t => base.toVector ++ links.take(t)).toVector
+    assert(sccRef(nV, views(2)).values.toSet.size == 4)
+    assert(sccRef(nV, views(3)).values.toSet == Set(0L))
+    allModesMatch("sccRing", nV, views)
+  }
+
+  test("one deletion that splits a large SCC into many, in every mode") {
+    // Eight 5-cycles chained 0→1→…→7 and closed by one edge 7→0: one
+    // 40-vertex SCC. View 1 deletes the closing edge (eight SCCs); view 2
+    // deletes an edge of cycle 3 (its five vertices become singletons).
+    val nV = 40
+    val cycles = (0 until nV).map(v => (v.toLong, v / 5 * 5 + (v + 1) % 5L))
+    val chain = (0 until 7).map(c => (5L * c + 4, 5L * (c + 1)))
+    val v0 = (cycles ++ chain :+ (39L -> 0L)).zipWithIndex.map { case ((s, d), i) => E(i, s, d, 1.0) }
+      .toVector
+    val v1 = v0.filterNot(e => e.src == 39L && e.dst == 0L)
+    val v2 = v1.filterNot(e => e.src == 17L && e.dst == 18L)
+    val views = Vector(v0, v1, v2)
+    assert(sccRef(nV, v0).values.toSet == Set(0L))
+    assert(sccRef(nV, v1).values.toSet.size == 8)
+    allModesMatch("sccSplit", nV, views)
   }
 
   test("condensation examines fewer vertices than scratch when no SCC breaks") {

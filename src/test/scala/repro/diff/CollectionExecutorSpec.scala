@@ -68,7 +68,7 @@ class CollectionExecutorSpec extends ReproSpec {
     } finally sc.removeSparkListener(counter)
   }
 
-  test("a GVDL build of 34 views runs two Spark jobs: the EBM and its pattern histogram") {
+  test("a GVDL build of 34 views runs one Spark job: the EBM, collected into a local frame") {
     val g = repro.graph.GraphGen.callGraph(spark, nV = 60, nE = 300)
     val gvdl = (1 to 34).map(d => s"[D$d: duration <= $d]")
       .mkString("create view collection chain on Calls ", ", ", "")
@@ -76,14 +76,13 @@ class CollectionExecutorSpec extends ReproSpec {
                          repro.views.ViewCollection.GraphsurgeOrder)) {
       val (coll, jobs) = withJobCount(repro.views.ViewCollection.fromGvdl(g, gvdl, strategy))
       assert(coll.numViews == 34)
-      assert(jobs == 2, s"$jobs Spark jobs for a 34-view build ($strategy)")
+      assert(jobs == 1, s"$jobs Spark jobs for a 34-view build ($strategy)")
     }
   }
 
   test("a collection run's Spark jobs do not grow with its number of views") {
-    // A GVDL collection: reading its stream collects the EBM, where an
-    // explicit collection holds its stream on the driver and a run reads
-    // it without a job.
+    // A GVDL collection: its stream is expanded from the local EBM frame
+    // the build collected, so a run reads it without a job.
     val g = repro.graph.GraphGen.callGraph(spark, nV = 60, nE = 300)
     val coll = repro.views.ViewCollection.fromGvdl(g,
       """create view collection jobs on Calls
@@ -93,8 +92,8 @@ class CollectionExecutorSpec extends ReproSpec {
     val verts = g.vertexIds
     val (_, jobs) =
       withJobCount(CollectionExecutor.run(spark, Wcc(), verts, coll, CollectionExecutor.DiffOnly))
-    // The vertex ids and the one read of the difference stream.
-    assert(jobs >= 1 && jobs <= 2, s"$jobs Spark jobs for 6 views")
+    // The vertex ids.
+    assert(jobs == 1, s"$jobs Spark jobs for 6 views")
   }
 
   test("a GVDL-defined collection (inclusion chain) runs end to end") {
