@@ -1,7 +1,6 @@
 package repro.algorithms
 
-import scala.collection.mutable
-import repro.diff.{Analytic, EdgeArrangement, Trace}
+import repro.diff.{Analytic, EdgeArrangement, Trace, VertexIndex}
 import repro.diff.EdgeArrangement.Delta
 import repro.diff.Engine.RunResult
 
@@ -23,56 +22,87 @@ import repro.diff.Engine.RunResult
   * the quotient graph.
   *
   * SCC ids are canonical, the minimum member vid (as the double `value`),
-  * so results compare directly with the Tarjan reference. A super-node's id
-  * is its SCC's id, a member vid, and a singleton's is its own vid, so
-  * super ids never collide and the quotient's canonical ids are again
-  * minimum member vids. `iterations` is 1 (one DFS) and `workRows` counts
-  * the vertices plus the edges the DFS visits. SCC keeps no iteration
-  * trace: `advance` needs only the previous ids.
+  * so results compare directly with the Tarjan reference. Both run on the
+  * arrangement's dense ids. A super-node is the member whose vid is its
+  * SCC's id, and a singleton is itself, so the quotient's canonical ids are
+  * again minimum member vids. `iterations` is 1 (one DFS) and `workRows`
+  * counts the vertices plus the edges the DFS visits. SCC keeps no
+  * iteration trace: `advance` needs only the previous ids.
   */
 object Scc extends Analytic {
 
   val name = "SCC"
 
-  def fromScratch(vertices: Array[Long], edges: EdgeArrangement): RunResult =
-    tarjan(vertices, edges.outNbrs(_, undirected = false))
+  /** The DFS over the view itself: its quotient where every vertex is its
+    * own super-node.
+    */
+  def fromScratch(vertices: Array[Long], edges: EdgeArrangement): RunResult = {
+    vertices.foreach(edges.index.add)
+    condense(edges, Array.range(0, edges.index.size))
+  }
 
   /** @param delta the view's difference set; its deletions decide which of
     *              `prev`'s SCCs break
     */
   def advance(edges: EdgeArrangement, delta: Seq[Delta], prev: RunResult): RunResult = {
-    val scc = prev.finalState
-    val broken = delta.iterator
-      .filter(d => d.diff < 0 && d.src != d.dst && scc.get(d.src) == scc.get(d.dst))
-      .flatMap(d => scc.get(d.src)).toSet
-    val superOf = mutable.LongMap.from(scc.iterator.map { case (v, c) =>
-      v -> (if (broken(c)) v else c.toLong)
-    })
-
-    val members = scc.keysIterator.toArray.groupBy(superOf)
-    val q = tarjan(members.keysIterator.toArray, s => members(s).iterator.flatMap { v =>
-      edges.outNbrs(v, undirected = false).map(u => superOf.getOrElse(u, u))
-    })
-    q.copy(finalState = scc.map { case (v, _) => v -> q.finalState(superOf(v)) })
+    val index = edges.index
+    val n = index.size
+    val scc = prev.valuesOn(index, _.toDouble) // a vertex new to the run is a singleton
+    // Each vertex's SCC representative: the member whose vid is the SCC's
+    // id, or the vertex itself where that member has no id here.
+    val rep = new Array[Int](n)
+    for (v <- 0 until n) {
+      val r = if (scc(v).toLong == index(v)) v else index.find(scc(v).toLong)
+      rep(v) = if (r >= 0) r else v
+    }
+    val broken = new Array[Boolean](n)
+    for (d <- delta if d.diff < 0 && d.src != d.dst) {
+      val (s, t) = (index.find(d.src), index.find(d.dst))
+      if (s >= 0 && t >= 0 && rep(s) == rep(t)) broken(rep(s)) = true
+    }
+    condense(edges, Array.tabulate(n)(v => if (broken(rep(v))) v else rep(v)))
   }
 
-  /** Tarjan's DFS over `vertices` with successors `succ`, which may yield
-    * self-loops, duplicates and vertices outside `vertices` (all ignored).
-    * Each vertex's id is the minimum vid of its SCC. One frame stack serves
-    * every root; a frame is a vertex and its successor iterator.
+  /** One DFS over the view's quotient under `superOf`, which maps each
+    * dense id to the member standing for its super-node; every vertex takes
+    * its super-node's SCC id. The quotient's successor lists are the
+    * members' out-edges, grouped per super-node in one counting pass:
+    * super-node s owns `succ(start(s) until start(s + 1))`.
     */
-  private def tarjan(vertices: Array[Long], succ: Long => Iterator[Long]): RunResult = {
-    val n = vertices.length
-    val at = mutable.LongMap.empty[Int]
-    vertices.indices.foreach(i => at(vertices(i)) = i)
+  private def condense(edges: EdgeArrangement, superOf: Array[Int]): RunResult = {
+    val n = superOf.length
+    val start = new Array[Int](n + 1)
+    for (v <- 0 until n) start(superOf(v) + 1) += edges.outAdj(v).size
+    for (s <- 0 until n) start(s + 1) += start(s)
+    val fill = start.clone()
+    val succ = new Array[Int](start(n))
+    for (v <- 0 until n) {
+      val out = edges.outAdj(v)
+      for (k <- 0 until out.size) { succ(fill(superOf(v))) = superOf(out.nbr(k)); fill(superOf(v)) += 1 }
+    }
+    val (ids, work) = tarjan(edges.index, (0 until n).filter(v => superOf(v) == v).toArray, start, succ)
+    RunResult(Array.tabulate(n)(v => ids(superOf(v)).toDouble), Trace.empty(edges.index, _ => Double.NaN),
+              1, work)
+  }
+
+  /** Tarjan's DFS over the dense ids `nodes` of `index`, node v's
+    * successors being `succ(start(v) until start(v + 1))`, all nodes; they
+    * may include v itself and repeat. Each node's SCC id is the minimum vid
+    * of its SCC, and the work is the nodes plus the successors read. One
+    * frame stack serves every root; a frame is a node and the slot of its
+    * next successor.
+    */
+  private def tarjan(index: VertexIndex, nodes: Array[Int], start: Array[Int],
+                     succ: Array[Int]): (Array[Long], Long) = {
+    val n = index.size
     val order = Array.fill(n)(-1) // discovery index; -1 while undiscovered
     val low = new Array[Int](n)
     val ids = new Array[Long](n)
     val onStack = new Array[Boolean](n)
-    val stack = new Array[Int](n) // Tarjan's stack of unassigned vertices
+    val stack = new Array[Int](n) // Tarjan's stack of unassigned nodes
     var sp = 0
     val frames = new Array[Int](n)
-    val nbrs = new Array[Iterator[Long]](n)
+    val next = new Array[Int](n)
     var fp = 0
     var discovered = 0
     var visited = 0L
@@ -80,35 +110,31 @@ object Scc extends Analytic {
     def discover(v: Int): Unit = {
       order(v) = discovered; low(v) = discovered; discovered += 1
       stack(sp) = v; sp += 1; onStack(v) = true
-      frames(fp) = v; nbrs(fp) = succ(vertices(v)); fp += 1
+      frames(fp) = v; next(fp) = start(v); fp += 1
     }
 
-    for (root <- 0 until n if order(root) < 0) {
+    for (root <- nodes if order(root) < 0) {
       discover(root)
       while (fp > 0) {
         val v = frames(fp - 1)
-        val it = nbrs(fp - 1)
-        if (it.hasNext) {
+        if (next(fp - 1) < start(v + 1)) {
           visited += 1
-          val w = at.getOrElse(it.next(), -1)
-          if (w >= 0) {
-            if (order(w) < 0) discover(w)
-            else if (onStack(w)) low(v) = math.min(low(v), order(w))
-          }
+          val w = succ(next(fp - 1))
+          next(fp - 1) += 1
+          if (order(w) < 0) discover(w)
+          else if (onStack(w)) low(v) = math.min(low(v), order(w))
         } else {
           fp -= 1
-          nbrs(fp) = null
           if (fp > 0) low(frames(fp - 1)) = math.min(low(frames(fp - 1)), low(v))
           if (low(v) == order(v)) { // v roots an SCC: the stack above it
             var k = sp
             var id = Long.MaxValue
-            while ({ k -= 1; id = math.min(id, vertices(stack(k))); stack(k) != v }) ()
+            while ({ k -= 1; id = math.min(id, index(stack(k))); stack(k) != v }) ()
             while (sp > k) { sp -= 1; onStack(stack(sp)) = false; ids(stack(sp)) = id }
           }
         }
       }
     }
-    RunResult(vertices.indices.iterator.map(i => vertices(i) -> ids(i).toDouble).toMap,
-              Trace.empty, 1, n + visited)
+    (ids, nodes.length + visited)
   }
 }

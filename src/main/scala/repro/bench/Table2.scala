@@ -19,12 +19,14 @@ import repro.graph.GraphGen
   * collection runs, and two scratch-over-diff ratios over views ≥ 1 (view 0
   * runs from scratch in both modes): the work ratio (Σ vertices examined)
   * and the wall ratio (Σ per-view run time). Where the two run on the same
-  * kernel, the wall ratio should track the work ratio.
+  * kernel, the wall ratio should track the work ratio. The µs-per-vertex
+  * columns divide each mode's Σ run time by its Σ examined vertices over
+  * views ≥ 1.
   */
 object Table2 {
 
   final case class Cell(coll: String, algo: String, diffMs: Long, scratchMs: Long,
-                        workRatio: Double, wallRatio: Double)
+                        workRatio: Double, wallRatio: Double, diffUs: Double, scratchUs: Double)
 
   private def timed(run: => CollectionRun): (CollectionRun, Long) = {
     val t0 = System.nanoTime()
@@ -36,6 +38,12 @@ object Table2 {
   private def ratio(scratch: CollectionRun, diff: CollectionRun)(f: ViewStat => Double): Double = {
     val d = diff.stats.drop(1).map(f).sum
     if (d == 0) 0.0 else scratch.stats.drop(1).map(f).sum / d
+  }
+
+  /** µs of run time per examined vertex over views ≥ 1. */
+  private def usPerVertex(run: CollectionRun): Double = {
+    val work = run.stats.drop(1).map(_.workRows).sum
+    if (work == 0) 0.0 else run.stats.drop(1).map(_.nanos).sum / 1e3 / work
   }
 
   def run(spark: SparkSession): Seq[String] = {
@@ -68,18 +76,21 @@ object Table2 {
     val cells = grid.map { case (cName, coll, aName, prog) =>
       val (d, dMs) = timed(CollectionExecutor.run(spark, prog, verts, coll, CollectionExecutor.DiffOnly))
       val (c, cMs) = timed(CollectionExecutor.run(spark, prog, verts, coll, CollectionExecutor.ScratchOnly))
-      Cell(cName, aName, dMs, cMs, ratio(c, d)(_.workRows.toDouble), ratio(c, d)(_.millis.toDouble))
+      Cell(cName, aName, dMs, cMs, ratio(c, d)(_.workRows.toDouble), ratio(c, d)(_.nanos.toDouble),
+           usPerVertex(d), usPerVertex(c))
     }
 
     val header = Seq(
       "== Table 2: diff-only vs scratch on perturbation collections ==",
       f"graph: |V|=$nV |E|=$nE views=$views (paper: Orkut 10M edges, 20 views)",
-      f"${"coll"}%-8s ${"algo"}%-5s ${"diff-only"}%10s ${"scratch"}%10s ${"work_x"}%8s ${"wall_x"}%8s   paper (diff, scratch)")
+      f"${"coll"}%-8s ${"algo"}%-5s ${"diff-only"}%10s ${"scratch"}%10s ${"work_x"}%8s ${"wall_x"}%8s " +
+      f"${"us/v diff"}%9s ${"us/v scr"}%9s   paper (diff, scratch)")
     val paper = Map(
       ("small", "BF") -> "1.4s, 13.5s", ("small", "PR") -> "66.5s, 136.2s",
       ("large", "BF") -> "13.0s, 25.7s", ("large", "PR") -> "281.9s, 193.2s")
     header ++ cells.map { c =>
-      f"${c.coll}%-8s ${c.algo}%-5s ${BenchUtil.fmtMs(c.diffMs)}%10s ${BenchUtil.fmtMs(c.scratchMs)}%10s ${c.workRatio}%8.1f ${c.wallRatio}%8.1f   ${paper((c.coll, c.algo))}"
+      f"${c.coll}%-8s ${c.algo}%-5s ${BenchUtil.fmtMs(c.diffMs)}%10s ${BenchUtil.fmtMs(c.scratchMs)}%10s ${c.workRatio}%8.1f ${c.wallRatio}%8.1f " +
+      f"${c.diffUs}%9.3f ${c.scratchUs}%9.3f   ${paper((c.coll, c.algo))}"
     }
   }
 }

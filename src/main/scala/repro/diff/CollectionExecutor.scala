@@ -34,20 +34,23 @@ object CollectionExecutor {
 
   /** Per-view execution record.
     *
-    * @param millis         the analytic's run time
+    * @param millis         the analytic's run time, whole milliseconds
     * @param viewEdges      |E_t| as a multiset of directed edges
     * @param maintainMillis edge maintenance: applying δ to the arrangement
-    *                       (view 0's includes the run's one stream read)
+    *                       (view 0's includes the run's one stream read and
+    *                       the vertex index)
     * @param stop           why the view's run ended (see [[Engine.Stop]])
+    * @param nanos          the analytic's run time, nanoseconds
     */
   final case class ViewStat(t: Int, viewName: String, ranDiff: Boolean,
                             millis: Long, viewEdges: Long, deltaEdges: Long,
                             iterations: Int, workRows: Long,
-                            maintainMillis: Long = 0L, stop: Option[Stop] = None)
+                            maintainMillis: Long = 0L, stop: Option[Stop] = None,
+                            nanos: Long = 0L)
 
   /** Result: per-view stats and, if requested via `keepResults`, the final
     * per-vertex state of each view as vid → value maps (SCC ids come back
-    * as doubles, exact below 2^53).
+    * as doubles, exact below 2^53), built only then.
     */
   final case class CollectionRun(stats: Seq[ViewStat],
                                  results: Seq[Map[Long, Double]]) {
@@ -67,7 +70,7 @@ object CollectionExecutor {
     val verts = vertices.select("vid").collect().map(_.getLong(0))
     val start = System.nanoTime()
     val deltas = collection.deltas()
-    val edges = new EdgeArrangement
+    val edges = new EdgeArrangement(verts)
     var state: RunResult = null
     val stats = Seq.newBuilder[ViewStat]
     val results = Seq.newBuilder[Map[Long, Double]]
@@ -88,15 +91,15 @@ object CollectionExecutor {
       state =
         if (runDiff) program.advance(edges, delta, state)
         else program.fromScratch(verts, edges)
-      val ms = (System.nanoTime() - t0) / 1000000
-      optimizer.foreach(_.observe(runDiff, if (runDiff) delta.size.toLong else edges.size, ms))
+      val ns = System.nanoTime() - t0
+      optimizer.foreach(_.observe(runDiff, if (runDiff) delta.size.toLong else edges.size, ns))
 
-      stats += ViewStat(t, collection.viewNames(t), runDiff, ms, edges.size, delta.size,
-                        state.iterations, state.workRows, maintainMs, state.stop)
+      stats += ViewStat(t, collection.viewNames(t), runDiff, ns / 1000000, edges.size, delta.size,
+                        state.iterations, state.workRows, maintainMs, state.stop, ns)
       if (sys.env.contains("REPRO_VERBOSE"))
         Console.err.println(
           f"[exec] ${program.name}%-4s view=$t%3d mode=${if (runDiff) "diff" else "scratch"}%-7s " +
-          f"ms=$ms%6d maint=$maintainMs%5d |E|=${edges.size}%7d |dC|=${delta.size}%6d " +
+          f"us=${ns / 1000}%8d maint=$maintainMs%5d |E|=${edges.size}%7d |dC|=${delta.size}%6d " +
           f"iters=${state.iterations}%3d work=${state.workRows}%8d")
       if (keepResults) results += state.finalState
     }

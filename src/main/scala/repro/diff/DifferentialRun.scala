@@ -1,23 +1,26 @@
 package repro.diff
 
-import scala.collection.mutable
+import scala.collection.mutable.ArrayBuilder
 import EdgeArrangement.Delta
 import Engine._
 import VertexProgram.neq
 
-/** Differentially maintain a program's run when advancing a collection to
-  * the next view (§3.2.2) — this repo's analog of DD "fixing the computation
-  * footprint".
+/** The one Jacobi loop: differentially maintain a program's run when
+  * advancing a collection to the next view (§3.2.2) — this repo's analog
+  * of DD "fixing the computation footprint" — and run a view from scratch
+  * as the same replay from the empty run.
   *
-  * Given the previous view's trace (per-iteration change-points), the new
-  * view's edges E_t, and the difference set δE, the replay recomputes, at
+  * Given a stored run's trace (per-iteration change-points), the view's
+  * edges E_t and the perpetually-affected set W, the replay recomputes, at
   * every iteration, only the vertices whose inputs can differ from the
   * stored run:
   *
-  *   - `W` — vertices with a changed in-edge (dst of δE), plus, for
-  *     degree-dependent programs, all out-neighbors of sources with changed
-  *     degree. δE carries DD timestamp ⟨t, 0⟩, below every iteration, so W
-  *     is affected at *every* iteration.
+  *   - `W` — advancing by δE: the vertices with a changed in-edge (dst of
+  *     δE), plus, for degree-dependent programs, all out-neighbors of
+  *     sources with changed degree. δE carries DD timestamp ⟨t, 0⟩, below
+  *     every iteration, so W is affected at *every* iteration. From
+  *     scratch: every vertex, against the empty run (an all-`init` trace
+  *     with horizon 0), so the run stops at its first quiet iteration.
   *   - `N_out(Diff_{i-1})` — downstream of vertices whose value at the
   *     previous iteration diverged from the stored trace.
   *
@@ -41,48 +44,60 @@ import VertexProgram.neq
   * the locality of the change, not the trace length (the paper's z_jk
   * sharing argument).
   *
-  * The replay runs on the driver, over the collection loop's
-  * [[EdgeArrangement]] already advanced to the view: the arranged trace,
-  * the frontier (W, A_i, Diff_i) and the edges are all driver-side, and a
-  * vertex is recomputed by the kernel the scratch run uses
-  * ([[VertexProgram.step]]). No iteration issues a Spark job. Per-iteration
-  * cost therefore scales with the size of the computation-footprint
-  * difference, not |V| or |E| — the computation sharing the paper's Table 2
-  * / Figure 6 measure.
+  * The replay runs on the driver over the collection loop's
+  * [[EdgeArrangement]], already advanced to the view, and issues no Spark
+  * job. Its state is arrays over the dense vertex ids: the overrides of
+  * iterations i−1 and i stamped with their iteration, the frontier as int
+  * lists with a stamp array, and the new change-points in flat primitive
+  * buffers. A run allocates O(|V|) of it; an iteration costs O(|A_i|) and
+  * the edges it reads.
   */
 object DifferentialRun {
 
+  /** Run `program` on the view from scratch: the replay from the empty run
+    * with W = every vertex of the arrangement's index, `vertices` included.
+    */
+  def fromScratch(program: VertexProgram, vertices: Array[Long], edges: EdgeArrangement): RunResult = {
+    vertices.foreach(edges.index.add)
+    val empty = RunResult(Array.emptyDoubleArray, Trace.empty(edges.index, program.init), 0, 0L)
+    replay(program, edges, Array.fill(edges.index.size)(true), empty)
+  }
+
+  /** Advance `prev`, a run on the same arrangement, by the view's
+    * difference set `delta`, already applied to `edges`.
+    */
   def run(program: VertexProgram, edges: EdgeArrangement, delta: Seq[Delta],
           prev: RunResult): RunResult = {
+    if (delta.isEmpty)
+      return prev.copy(iterations = 0, workRows = 0L, iterStats = Nil, stop = None)
+    require(prev.index eq edges.index, "a replay continues a run on the same arrangement")
 
     // The changed edges' endpoints, mirrored as the program reads edges.
-    val changed = delta.map(d => (d.src, d.dst))
-    val pairs = if (program.undirected) changed ++ changed.map(_.swap) else changed
-    if (pairs.isEmpty)
-      return prev.copy(iterations = 0, workRows = 0L, iterStats = Nil, stop = None)
+    val inW = new Array[Boolean](edges.index.size)
+    delta.foreach { d =>
+      val (s, t) = (edges.index.find(d.src), edges.index.find(d.dst))
+      for ((src, dst) <- if (program.undirected) Seq(s -> t, t -> s) else Seq(s -> t)) {
+        inW(dst) = true
+        if (program.degreeDependent) edges.eachOut(src, program.undirected)(inW(_) = true)
+      }
+    }
+    replay(program, edges, inW, prev)
+  }
 
+  private def replay(program: VertexProgram, edges: EdgeArrangement, inW: Array[Boolean],
+                     prev: RunResult): RunResult = {
+    val n = inW.length
+    val w = ids(n)(inW(_))
     val trace = prev.trace
-    def outNbrs(v: Long) = edges.outNbrs(v, program.undirected)
-
-    // ---- perpetually-affected set W ------------------------------------
-    val deltaDsts = pairs.map(_._2).toSet
-    val deltaSrcs = if (program.degreeDependent) pairs.map(_._1).toSet else Set.empty[Long]
-    val w = deltaDsts ++ deltaSrcs.flatMap(outNbrs)
-
-    // Examined set of the iteration after one that diverged on `diff`: W,
-    // downstream of the divergence, and the divergence itself — a diverged
-    // vertex whose inputs match the stored run again must be *re-examined*
-    // so its revert to the stored value lands in the new trace as a
-    // change-point.
-    def examinedAfter(diff: collection.Map[Long, Double]): Set[Long] =
-      if (diff.isEmpty) w else w ++ diff.keys.flatMap(outNbrs) ++ diff.keys
-
-    // ---- iteration replay ----------------------------------------------
-    val examinedAt = mutable.HashMap.empty[Long, mutable.BitSet]
-    val added = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Int, Double)]]
+    val undirected = program.undirected
+    val over = Array.ofDim[Double](2, n)  // Diff_i's values, by the parity of i
+    val overAt = Array.ofDim[Int](2, n)   // the iteration of each entry of `over`
+    val mark = new Array[Int](n)          // i once v ∉ W joined the examined set of iteration i
+    val cpId, cpIter, exId, exIter = new ArrayBuilder.ofInt // change-points; examinations outside W
+    val cpValue = new ArrayBuilder.ofDouble
     val iterStats = Vector.newBuilder[IterStat]
-    var diffPrev: collection.Map[Long, Double] = Map.empty
-    var affected = w
+    var extra = Array.emptyIntArray // A_i \ W
+    var diff = Array.emptyIntArray  // Diff_i
     var i = 0
     var work = 0L
     var stop = Option.empty[Stop]
@@ -90,47 +105,87 @@ object DifferentialRun {
 
     while (stop.isEmpty && i < cap) {
       i += 1
+      val j = i
       val iterT0 = System.nanoTime()
 
       // Recompute affected vertices from their full current in-neighborhood
-      // at states of iteration i-1 (stored ⊕ previous-iteration overrides).
-      val prevDiff = diffPrev
-      val prevValue: Long => Double = v => prevDiff.getOrElse(v, trace.valueAt(v, i - 1))
-      val diffCur = mutable.HashMap.empty[Long, Double]
-      var cpCnt = 0
-      affected.foreach { v =>
+      // at states of iteration j−1 (stored ⊕ previous-iteration overrides).
+      val (prevOver, prevAt) = (over((j - 1) & 1), overAt((j - 1) & 1))
+      val (curOver, curAt) = (over(j & 1), overAt(j & 1))
+      val fromIter = if (j == 1) -1 else j - 1
+      val prevValue: Int => Double = u => if (prevAt(u) == fromIter) prevOver(u) else trace.at(u, j - 1)
+      val diverged = new ArrayBuilder.ofInt
+      val cp0 = cpId.length
+      def examine(v: Int): Unit = {
         val value = program.step(edges, v, prevValue)
-        if (neq(value, trace.valueAt(v, i))) diffCur(v) = value
-        if (neq(value, prevValue(v))) {
-          added.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += (i -> value)
-          cpCnt += 1
-        }
-        examinedAt.getOrElseUpdate(v, mutable.BitSet.empty) += i
+        if (neq(value, trace.at(v, j))) { curOver(v) = value; curAt(v) = j; diverged += v }
+        if (neq(value, prevValue(v))) { cpId += v; cpIter += j; cpValue += value }
       }
-      work += affected.size
+      var k = 0
+      while (k < w.length) { examine(w(k)); k += 1 }
+      k = 0
+      while (k < extra.length) { examine(extra(k)); exId += extra(k); exIter += j; k += 1 }
+      work += w.length + extra.length
+      diff = diverged.result()
+      val changePoints = cpId.length - cp0
+
+      // Examined set of the next iteration outside W: downstream of the
+      // divergence, and the divergence itself — a diverged vertex whose
+      // inputs match the stored run again must be *re-examined* so its
+      // revert to the stored value lands in the new trace as a change-point.
+      val next = new ArrayBuilder.ofInt
+      def join(u: Int): Unit = if (!inW(u) && mark(u) != j + 1) { mark(u) = j + 1; next += u }
+      if (w.length < n) diff.foreach { v => join(v); edges.eachOut(v, undirected)(join) }
+      val nextExtra = next.result()
 
       // The stop rule (see the scaladoc for why it is sound).
-      val next = examinedAfter(diffCur)
       stop =
-        if (cpCnt > 0) None
-        else if (i > trace.lastIter) Some(Stop.PastHorizon)
+        if (changePoints > 0) None
+        else if (j > trace.lastIter) Some(Stop.PastHorizon)
         else {
-          val region = next.iterator ++ next.iterator.flatMap(edges.inNbrs(_, program.undirected))
-          if (region.forall(trace.lastChange(_) < i)) Some(Stop.TraceQuiet) else None
+          var frozen = true
+          def check(u: Int): Unit = frozen &&= trace.lastChange(u) < j
+          (w.iterator ++ nextExtra.iterator).takeWhile(_ => frozen)
+            .foreach { v => check(v); edges.eachIn(v, undirected)(check) }
+          if (frozen) Some(Stop.TraceQuiet) else None
         }
-      if (stop.isEmpty && i == cap) stop = Some(Stop.Cap)
-      iterStats += IterStat(i, affected.size, diffCur.size, cpCnt,
+      if (stop.isEmpty && j == cap) stop = Some(Stop.Cap)
+      iterStats += IterStat(j, w.length + extra.length, diff.length, changePoints,
                             (System.nanoTime() - iterT0) / 1000000)
-      diffPrev = diffCur
-      affected = next
+      extra = nextExtra
     }
 
     // ---- assemble result ------------------------------------------------
-    val newFinal = prev.finalState ++ diffPrev
-    val newTrace = trace.rewrite(examinedAt.map { case (v, its) =>
-      (v, its.contains _, added.get(v).fold(Seq.empty[(Int, Double)])(_.toSeq))
-    })
+    val last = i
+    val values = prev.valuesOn(edges.index, program.init)
+    diff.foreach(v => values(v) = over(last & 1)(v))
 
-    RunResult(newFinal, newTrace, i, work, iterStats.result(), stop)
+    // Per rewritten vertex: the iterations it was examined at (all of 1..i
+    // for W) and its new change-points, each grouped by one counting sort.
+    val (cpIters, cpValues, exIters) = (cpIter.result(), cpValue.result(), exIter.result())
+    val (cpsOf, examsOf) = (group(cpId.result(), n), group(exId.result(), n))
+    val rewritten = ids(n)(v => inW(v) || mark(v) > 0).iterator.map { v =>
+      val examined: Int => Boolean = if (inW(v)) _ <= last else examsOf(v).map(exIters).toSet
+      (v, examined, cpsOf(v).map(cpIters), cpsOf(v).map(cpValues))
+    }
+    RunResult(values, trace.rewrite(n, rewritten), last, work, iterStats.result(), stop)
+  }
+
+  /** The ids below `n` that satisfy `p`, ascending. */
+  private def ids(n: Int)(p: Int => Boolean): Array[Int] = {
+    val out = new ArrayBuilder.ofInt
+    for (v <- 0 until n) if (p(v)) out += v
+    out.result()
+  }
+
+  /** The slots of `ids` grouped by id, each id's in insertion order. */
+  private def group(ids: Array[Int], n: Int): Int => Array[Int] = {
+    val start = new Array[Int](n + 1)
+    for (k <- ids.indices) start(ids(k) + 1) += 1
+    for (v <- 0 until n) start(v + 1) += start(v)
+    val fill = start.clone()
+    val slots = new Array[Int](ids.length)
+    for (k <- ids.indices) { slots(fill(ids(k))) = k; fill(ids(k)) += 1 }
+    v => slots.slice(start(v), start(v + 1))
   }
 }

@@ -5,7 +5,8 @@ import scala.collection.mutable.ArrayBuffer
 /** Adaptive collection-splitting optimizer (§5).
   *
   * Observes, at runtime, (|GV_i|, scratch-time) points for views run from
-  * scratch and (|δC_i|, diff-time) points for views run differentially,
+  * scratch and (|δC_i|, diff-time) points for views run differentially, in
+  * any one unit of time (the collection loop feeds it nanoseconds),
   * fits one simple linear model per mode, and — per batch of ℓ views —
   * predicts both times for the upcoming view and picks the cheaper mode.
   * The paper bootstraps by forcing view 1 from scratch and view 2
@@ -14,13 +15,15 @@ import scala.collection.mutable.ArrayBuffer
 final class SplittingOptimizer(batchSize: Int = 1) {
   require(batchSize >= 1, "batch size must be positive")
 
-  private val scratchObs = ArrayBuffer.empty[(Double, Double)] // (|GV|, ms)
-  private val diffObs    = ArrayBuffer.empty[(Double, Double)] // (|δC|, ms)
+  private val scratchObs = ArrayBuffer.empty[(Double, Double)] // (|GV|, time)
+  private val diffObs    = ArrayBuffer.empty[(Double, Double)] // (|δC|, time)
   private var pending: List[Boolean] = Nil // decisions already made for the batch
 
-  /** Record an observed view execution. */
-  def observe(ranDifferentially: Boolean, size: Long, millis: Long): Unit = {
-    val obs = (size.toDouble, millis.toDouble)
+  /** Record an observed view execution; `time` in any unit, the same for
+    * every call to one optimizer.
+    */
+  def observe(ranDifferentially: Boolean, size: Long, time: Long): Unit = {
+    val obs = (size.toDouble, time.toDouble)
     if (ranDifferentially) diffObs += obs else scratchObs += obs
   }
 

@@ -9,71 +9,79 @@ package repro.diff
   * examines, not to the trace's size.
   *
   * A vertex without a change-point at or before iteration j holds its
-  * initial value at j (iteration 0 is implicit). The trace is arranged
-  * eagerly from its `(vid, iter, value)` change-points; both the scratch
-  * run and the replay build it on the driver, so it takes O(change-points)
-  * driver memory.
+  * initial value at j (iteration 0 is implicit). Change-points are indexed
+  * by the dense ids of `index`: per vertex an `Int` array of iterations and
+  * a `Double` array of values (12 bytes a change-point, plus two array
+  * headers and two slots of the outer arrays per vertex). The empty trace
+  * has none; a run from scratch is the replay from it.
   */
-final class Trace private (byVid: Map[Long, Trace.Changes], init: Long => Double) {
-  import Trace._
+final class Trace private (val index: VertexIndex, init: Long => Double,
+                           iters: Array[Array[Int]], values: Array[Array[Double]]) {
 
-  /** The value of `v` at iteration `j`: its latest change-point at or
+  /** The value of vid `v` at iteration `j`: its latest change-point at or
     * before `j`, else its initial value.
     */
-  def valueAt(v: Long, j: Int): Double = byVid.get(v) match {
-    case None => init(v)
-    case Some(c) =>
-      val k = java.util.Arrays.binarySearch(c.iters, j)
-      val at = if (k >= 0) k else -k - 2 // last change-point ≤ j
-      if (at < 0) init(v) else c.values(at)
+  def valueAt(v: Long, j: Int): Double = {
+    val i = index.find(v)
+    if (i < 0) init(v) else at(i, j)
   }
 
-  /** The iteration of `v`'s last change-point, 0 when it never changed. */
-  def lastChange(v: Long): Int = byVid.get(v).fold(0)(_.iters.last)
+  /** [[valueAt]] by dense id. */
+  private[diff] def at(v: Int, j: Int): Double = {
+    val its = if (v < iters.length) iters(v) else null
+    val k = if (its == null) -1 else java.util.Arrays.binarySearch(its, j)
+    val last = if (k >= 0) k else -k - 2 // last change-point ≤ j
+    if (last < 0) init(index(v)) else values(v)(last)
+  }
+
+  /** The iteration of dense id `v`'s last change-point, 0 when it never
+    * changed.
+    */
+  private[diff] def lastChange(v: Int): Int = {
+    val its = if (v < iters.length) iters(v) else null
+    if (its == null) 0 else its(its.length - 1)
+  }
 
   /** The largest iteration with any change-point (0 for none): the latest
     * of the vertices' last change-points, found once per trace.
     */
-  lazy val lastIter: Int = byVid.valuesIterator.map(_.iters.last).maxOption.getOrElse(0)
+  lazy val lastIter: Int = {
+    var last = 0
+    for (v <- iters.indices) last = math.max(last, lastChange(v))
+    last
+  }
 
-  /** This trace with the entries of the given vertices rewritten: for each
-    * `(v, examined, added)`, the change-points of `v` at iterations in
-    * `examined` are dropped and `added` (ascending iterations) is merged
-    * in. The cost is proportional to the rewritten vertices' entries.
+  /** This trace over `size` vertices, with the entries of the given
+    * vertices rewritten: for each `(v, examined, addIters, addValues)`, the
+    * change-points of `v` at iterations in `examined` are dropped and the
+    * added ones (ascending iterations) are merged in. The cost is
+    * proportional to the rewritten vertices' entries, plus one copy of the
+    * outer arrays.
     */
-  def rewrite(updates: Iterable[(Long, Int => Boolean, Seq[(Int, Double)])]): Trace = {
-    var next = byVid
-    for ((v, examined, added) <- updates) {
-      val kept = next.get(v).fold(Seq.empty[(Int, Double)]) { c =>
-        c.iters.toSeq.zip(c.values).filterNot(cp => examined(cp._1))
-      }
-      val merged = if (kept.isEmpty) added else (kept ++ added).sortBy(_._1)
-      next =
-        if (merged.isEmpty) next - v
-        else next.updated(v, Changes(merged.map(_._1).toArray, merged.map(_._2).toArray))
+  private[diff] def rewrite(size: Int,
+                            updates: Iterator[(Int, Int => Boolean, Array[Int], Array[Double])]): Trace = {
+    val its = java.util.Arrays.copyOf(iters, size)
+    val vs = java.util.Arrays.copyOf(values, size)
+    for ((v, examined, addIters, addValues) <- updates) {
+      val (mergedIters, mergedValues) =
+        if (its(v) == null) (addIters, addValues)
+        else {
+          val kept = its(v).zip(vs(v)).filterNot(cp => examined(cp._1))
+          (kept ++ addIters.zip(addValues)).sortBy(_._1).unzip
+        }
+      its(v) = if (mergedIters.isEmpty) null else mergedIters
+      vs(v) = if (mergedIters.isEmpty) null else mergedValues
     }
-    new Trace(next, init)
+    new Trace(index, init, its, vs)
   }
 }
 
 object Trace {
 
-  /** One vertex's change-points: `iters` ascending, `values` aligned. */
-  private final case class Changes(iters: Array[Int], values: Array[Double])
-
-  /** Arrange `(vid, iter, value)` change-points, each vertex's by
-    * ascending iteration.
+  /** The trace without change-points over `index`: every vertex holds
+    * `init` at every iteration. Analytics that keep no iteration trace
+    * (SCC) pass an `init` of NaN.
     */
-  def apply(changePoints: Iterable[(Long, Int, Double)], init: Long => Double): Trace =
-    new Trace(
-      changePoints.groupBy(_._1).map { case (v, cps) =>
-        val sorted = cps.toArray.sortBy(_._2)
-        v -> Changes(sorted.map(_._2), sorted.map(_._3))
-      },
-      init)
-
-  /** A trace without change-points and without initial values, for
-    * analytics that keep no iteration trace (SCC): `valueAt` is NaN.
-    */
-  val empty: Trace = Trace(Nil, _ => Double.NaN)
+  def empty(index: VertexIndex, init: Long => Double): Trace =
+    new Trace(index, init, Array.empty, Array.empty)
 }

@@ -19,10 +19,11 @@ import Engine.RunResult
   * can move in either direction.
   *
   * The per-vertex logic is plain Scala, as the paper's DD programs write it
-  * as closures. A scratch run ([[ScratchRun]]) and a differential replay
-  * ([[DifferentialRun]]) both compute a vertex's state with the one Jacobi
-  * kernel [[step]] over the collection loop's [[EdgeArrangement]]: scratch
-  * at every vertex, the replay only at the vertices it examines.
+  * as closures. Every run goes through the one Jacobi loop,
+  * [[DifferentialRun]]: a run from scratch is the replay from the empty run
+  * over every vertex, an advance the replay over the vertices a view's
+  * difference set affects. Both compute a vertex's state with the one
+  * Jacobi kernel [[step]] over the collection loop's [[EdgeArrangement]].
   */
 trait VertexProgram extends Analytic {
   /** state_0(v), and the `init` that [[combine]] receives. */
@@ -56,23 +57,31 @@ trait VertexProgram extends Analytic {
   /** Safety cap for fixpoint programs. */
   def maxIterations: Int = 500
 
-  /** The Jacobi kernel: `v`'s state at iteration i over the view's edges,
-    * given every vertex's state at i−1 through `prev`. Edges are mirrored
-    * when [[undirected]]; `srcDeg` is the source's out-degree when
-    * [[degreeDependent]], else 1.
+  /** The Jacobi kernel: the state of dense id `v` at iteration i over the
+    * view's edges, given every vertex's state at i−1 by dense id through
+    * `prev`. Edges are mirrored when [[undirected]]; `srcDeg` is the
+    * source's out-degree when [[degreeDependent]], else 1.
     */
-  final def step(edges: EdgeArrangement, v: Long, prev: Long => Double): Double = {
-    var agg = if (aggIsMin) Double.PositiveInfinity else 0.0
-    edges.foreachIn(v, undirected) { (src, weight) =>
-      val deg = if (degreeDependent) edges.outDegree(src, undirected).toLong else 1L
-      val m = msg(prev(src), weight, deg)
+  final def step(edges: EdgeArrangement, v: Int, prev: Int => Double): Double = {
+    val agg = gather(edges, edges.inAdj(v), prev, if (aggIsMin) Double.PositiveInfinity else 0.0)
+    combine(init(edges.index(v)), if (undirected) gather(edges, edges.outAdj(v), prev, agg) else agg)
+  }
+
+  private def gather(edges: EdgeArrangement, a: EdgeArrangement.Adj, prev: Int => Double,
+                     from: Double): Double = {
+    var agg = from
+    var k = 0
+    while (k < a.size) {
+      val u = a.nbr(k)
+      val m = msg(prev(u), a.weight(k), if (degreeDependent) edges.degree(u, undirected).toLong else 1L)
       agg = if (aggIsMin) math.min(agg, m) else agg + m
+      k += 1
     }
-    combine(init(v), agg)
+    agg
   }
 
   final def fromScratch(vertices: Array[Long], edges: EdgeArrangement): RunResult =
-    ScratchRun.run(this, vertices, edges)
+    DifferentialRun.fromScratch(this, vertices, edges)
 
   final def advance(edges: EdgeArrangement, delta: Seq[Delta], prev: RunResult): RunResult =
     DifferentialRun.run(this, edges, delta, prev)

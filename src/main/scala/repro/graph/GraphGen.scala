@@ -220,15 +220,4 @@ object GraphGen {
     val nodes = spark.range(4L + zChain).toDF("id")
     PropertyGraph(nodes, edges)
   }
-
-  /** Small deterministic graph from an explicit edge list (tests). */
-  def explicit(spark: SparkSession, edges: Seq[(Long, Long, Double)],
-               extraNodes: Seq[Long] = Nil): PropertyGraph = {
-    import spark.implicits._
-    val e = edges.zipWithIndex
-      .map { case ((s, d, w), i) => (i.toLong, s, d, w) }
-      .toDF("eid", "src", "dst", "weight")
-    val ids = (edges.flatMap(t => Seq(t._1, t._2)) ++ extraNodes).distinct
-    PropertyGraph(ids.toDF("id"), e)
-  }
 }

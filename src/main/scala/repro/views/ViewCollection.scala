@@ -1,11 +1,11 @@
 package repro.views
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.diff.EdgeArrangement
 import repro.diff.EdgeArrangement.Delta
 import repro.graph.PropertyGraph
 import repro.gvdl.{Ast, Parser}
 import repro.ordering.{CollectionOrderer, Hamming}
-import scala.collection.mutable
 
 /** A view collection (§3.2): views organized as a single timestamped
   * edge-difference stream, which the collection hands out on the driver.
@@ -42,18 +42,17 @@ final case class ViewCollection(
     ebm: Option[DataFrame],
     cct: ViewCollection.Cct) {
 
-  /** The view at execution position t, Σ_{s<=t} δC_s, folded by eid on the
-    * driver from one read of `deltas` (each position's deletions before its
-    * additions, as [[repro.diff.EdgeArrangement]] applies them). A local
-    * frame `eid, src, dst, weight` in the active session.
+  /** The view at execution position t, Σ_{s<=t} δC_s, folded through an
+    * [[repro.diff.EdgeArrangement]] from one read of `deltas`, with its
+    * checks on absent deletions and duplicate additions. A local frame
+    * `eid, src, dst, weight` in the active session.
     */
   def viewEdges(t: Int): DataFrame = {
-    val live = mutable.LongMap.empty[Delta]
-    for (ds <- deltas().take(t + 1); d <- ds.sortBy(_.diff))
-      if (d.diff > 0) live(d.eid) = d else live -= d.eid
+    val view = new EdgeArrangement
+    deltas().take(t + 1).foreach(view.update)
     val spark = SparkSession.active
     import spark.implicits._
-    live.values.toSeq.map(d => (d.eid, d.src, d.dst, d.weight)).toDF("eid", "src", "dst", "weight")
+    view.edges.toSeq.map(d => (d.eid, d.src, d.dst, d.weight)).toDF("eid", "src", "dst", "weight")
   }
 }
 

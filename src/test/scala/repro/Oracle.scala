@@ -3,6 +3,7 @@ package repro
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
 import scala.collection.mutable
+import repro.diff.VertexProgram
 
 /** Correctness oracles that share no code with the engine.
   *
@@ -74,6 +75,37 @@ object Oracle {
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
     } finally conn.close()
+  }
+
+  /** The synchronous Jacobi iterations of `prog` over a plain edge list
+    * `(src, dst, weight)`: element j is every vertex's state at iteration
+    * j, from the initial states up to and including the first iteration
+    * that changes nothing, or up to the iteration cap. Edges are mirrored
+    * for an undirected program, and a degree-dependent one divides by the
+    * out-degree over the mirrored list. Shares only the program's
+    * `init`, `msg` and `combine` with the engine.
+    */
+  def jacobi(prog: VertexProgram, vertices: Seq[Long],
+             edges: Seq[(Long, Long, Double)]): Vector[Map[Long, Double]] = {
+    val seen = if (prog.undirected) edges ++ edges.map { case (s, d, w) => (d, s, w) } else edges
+    val degree = seen.groupMapReduce(_._1)(_ => 1L)(_ + _)
+    val into = seen.groupBy(_._2)
+    val cap = prog.fixedIterations.getOrElse(prog.maxIterations)
+    val states = mutable.ArrayBuffer(vertices.map(v => v -> prog.init(v)).toMap)
+    var changed = true
+    while (changed && states.size <= cap) {
+      val prev = states.last
+      val next = vertices.map { v =>
+        val msgs = into.getOrElse(v, Nil).map { case (s, _, w) =>
+          prog.msg(prev.getOrElse(s, prog.init(s)), w, if (prog.degreeDependent) degree(s) else 1L)
+        }
+        val agg = if (prog.aggIsMin) msgs.foldLeft(Double.PositiveInfinity)(math.min) else msgs.sum
+        v -> prog.combine(prog.init(v), agg)
+      }.toMap
+      changed = next != prev
+      states += next
+    }
+    states.toVector
   }
 
   /** SCCs by Kosaraju's two passes: DFS finish order on the graph, then a

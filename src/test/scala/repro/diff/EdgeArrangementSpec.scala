@@ -11,18 +11,34 @@ class EdgeArrangementSpec extends AnyFunSuite {
   private def add(eid: Long, src: Long, dst: Long, w: Double = 1.0) = Delta(eid, src, dst, w, 1)
   private def del(eid: Long, src: Long, dst: Long, w: Double = 1.0) = Delta(eid, src, dst, w, -1)
 
+  // Reads by vid, through the arrangement's dense index; a vid without an
+  // id has no edges.
+
   private def ins(a: EdgeArrangement, v: Long, undirected: Boolean): Seq[(Long, Double)] = {
-    val out = Seq.newBuilder[(Long, Double)]
-    a.foreachIn(v, undirected)((s, w) => out += (s -> w))
-    out.result().sorted
+    val i = a.index.find(v)
+    val lists = if (i < 0) Nil else if (undirected) Seq(a.inAdj(i), a.outAdj(i)) else Seq(a.inAdj(i))
+    lists.flatMap(l => (0 until l.size).map(k => a.index(l.nbr(k)) -> l.weight(k))).sorted
   }
+
+  private def nbrs(a: EdgeArrangement, v: Long)(each: (Int, Int => Unit) => Unit): Seq[Long] = {
+    val out = Seq.newBuilder[Long]
+    if (a.index.find(v) >= 0) each(a.index.find(v), u => out += a.index(u))
+    out.result()
+  }
+  private def outNbrs(a: EdgeArrangement, v: Long, undirected: Boolean): Seq[Long] =
+    nbrs(a, v)(a.eachOut(_, undirected)(_))
+  private def inNbrs(a: EdgeArrangement, v: Long, undirected: Boolean): Seq[Long] =
+    nbrs(a, v)(a.eachIn(_, undirected)(_))
+
+  private def outDegree(a: EdgeArrangement, v: Long, undirected: Boolean): Int =
+    if (a.index.find(v) < 0) 0 else a.degree(a.index.find(v), undirected)
 
   test("parallel edges stay a multiset and a deletion removes the copy it names") {
     val a = new EdgeArrangement
     a.update(Seq(add(0, 0, 1, 2.0), add(1, 0, 1, 5.0), add(2, 1, 2)))
     assert(a.size == 3)
     assert(ins(a, 1, undirected = false) == Seq(0L -> 2.0, 0L -> 5.0))
-    assert(a.outDegree(0, undirected = false) == 2)
+    assert(outDegree(a, 0, undirected = false) == 2)
     a.update(Seq(del(0, 0, 1, 2.0), add(3, 0, 1, 1.0)))
     assert(a.size == 3)
     assert(ins(a, 1, undirected = false) == Seq(0L -> 1.0, 0L -> 5.0))
@@ -33,12 +49,12 @@ class EdgeArrangementSpec extends AnyFunSuite {
     a.update(Seq(add(0, 0, 1), add(1, 2, 0), add(2, 0, 0)))
     assert(ins(a, 0, undirected = false) == Seq(0L -> 1.0, 2L -> 1.0))
     assert(ins(a, 0, undirected = true) == Seq(0L -> 1.0, 0L -> 1.0, 1L -> 1.0, 2L -> 1.0))
-    assert(a.outNbrs(0, undirected = false).toSeq.sorted == Seq(0L, 1L))
-    assert(a.outNbrs(0, undirected = true).toSeq.sorted == Seq(0L, 0L, 1L, 2L))
-    assert(a.inNbrs(1, undirected = true).toSeq == Seq(0L))
-    assert(a.outDegree(0, undirected = false) == 2)
-    assert(a.outDegree(0, undirected = true) == 4)
-    assert(a.outDegree(7, undirected = true) == 0)
+    assert(outNbrs(a, 0, undirected = false).sorted == Seq(0L, 1L))
+    assert(outNbrs(a, 0, undirected = true).sorted == Seq(0L, 0L, 1L, 2L))
+    assert(inNbrs(a, 1, undirected = true) == Seq(0L))
+    assert(outDegree(a, 0, undirected = false) == 2)
+    assert(outDegree(a, 0, undirected = true) == 4)
+    assert(outDegree(a, 7, undirected = true) == 0)
   }
 
   test("a difference set that deletes an absent edge or re-adds a present one is rejected") {
@@ -46,5 +62,42 @@ class EdgeArrangementSpec extends AnyFunSuite {
     a.update(Seq(add(0, 0, 1)))
     intercept[IllegalArgumentException](a.update(Seq(del(9, 0, 1))))
     intercept[IllegalArgumentException](a.update(Seq(add(0, 0, 1))))
+  }
+
+  test("a deletion from the middle of a vertex's list keeps the rest of both lists") {
+    val a = new EdgeArrangement
+    a.update((0 until 5).map(k => add(k, 0, 10L + k, k.toDouble)) :+ add(5, 3, 12, 7.0))
+    a.update(Seq(del(2, 0, 12, 2.0)))
+    assert(a.size == 5)
+    assert(outNbrs(a, 0, undirected = false).sorted == Seq(10L, 11L, 13L, 14L))
+    assert(ins(a, 12, undirected = false) == Seq(3L -> 7.0))
+    assert(ins(a, 13, undirected = false) == Seq(0L -> 3.0))
+    assert(outDegree(a, 0, undirected = false) == 4)
+    assert(a.edges.map(_.eid).toSeq.sorted == Seq(0L, 1L, 3L, 4L, 5L))
+  }
+
+  test("a deleted eid can be added again, with other endpoints") {
+    val a = new EdgeArrangement
+    a.update(Seq(add(0, 0, 1), add(1, 1, 2)))
+    a.update(Seq(del(0, 0, 1)))
+    a.update(Seq(add(0, 2, 0, 4.0)))
+    assert(a.size == 2)
+    assert(ins(a, 1, undirected = false).isEmpty)
+    assert(ins(a, 0, undirected = false) == Seq(2L -> 4.0))
+    a.update(Seq(del(0, 2, 0, 4.0), add(0, 0, 1, 3.0))) // deleted and re-added in one set
+    assert(ins(a, 1, undirected = false) == Seq(0L -> 3.0))
+    assert(ins(a, 0, undirected = false).isEmpty)
+  }
+
+  test("an endpoint outside the seeded universe gets the next dense id") {
+    val a = new EdgeArrangement(Array(5L, 6L, 7L))
+    assert((0 until 3).map(a.index(_)) == Seq(5L, 6L, 7L))
+    a.update(Seq(add(0, 5, 42), add(1, 42, 6)))
+    assert(a.index.size == 4)
+    assert(a.index.find(42L) == 3 && a.index(3) == 42L)
+    assert(a.index.find(8L) == -1)
+    assert(outNbrs(a, 42, undirected = false) == Seq(6L))
+    assert(ins(a, 42, undirected = false) == Seq(5L -> 1.0))
+    assert(ins(a, 8, undirected = false).isEmpty)
   }
 }

@@ -1,6 +1,6 @@
 package repro.diff
 
-import repro.{ReproSpec, TestGraphs}
+import repro.{Oracle, ReproSpec, TestGraphs}
 import repro.algorithms._
 import scala.util.Random
 
@@ -8,7 +8,9 @@ import scala.util.Random
   * a scratch run of the same view records: the same value for every vertex
   * at every iteration, not only the same final state. A later view replays
   * against it, so an error at an intermediate iteration would surface only
-  * views later.
+  * views later. A scratch run is itself the replay from the empty run, so
+  * both traces are also checked, iteration by iteration, against a plain
+  * synchronous Jacobi oracle ([[repro.Oracle.jacobi]]).
   */
 class TraceSpec extends ReproSpec {
 
@@ -18,6 +20,18 @@ class TraceSpec extends ReproSpec {
     for (v <- 0L until nV; j <- 0 to horizon) {
       val (x, y) = (diff.trace.valueAt(v, j), scratch.trace.valueAt(v, j))
       assert(x == y || math.abs(x - y) < 1e-9, s"$ctx: vertex $v at iteration $j: $x vs $y")
+    }
+  }
+
+  /** `run`'s trace equals the oracle's states at every iteration, beyond
+    * the last of either included.
+    */
+  private def assertJacobi(prog: VertexProgram, run: Engine.RunResult, nV: Int,
+                           edges: Seq[TestGraphs.E], ctx: String): Unit = {
+    val states = Oracle.jacobi(prog, 0L until nV, edges.map(e => (e.src, e.dst, e.w)))
+    for (v <- 0L until nV; j <- 0 to math.max(run.trace.lastIter, states.size) + 1) {
+      val (x, y) = (run.trace.valueAt(v, j), states(math.min(j, states.size - 1))(v))
+      assert(x == y || math.abs(x - y) < 1e-9, s"$ctx: vertex $v at iteration $j: $x vs oracle $y")
     }
   }
 
@@ -33,12 +47,15 @@ class TraceSpec extends ReproSpec {
 
       val deltas = coll.deltas()
       var run = prog.fromScratch(verts, edges)
+      assertJacobi(prog, run, nV, views(0), "view 0 scratch")
       for (t <- 1 until views.size) {
         val delta = deltas(t)
         edges.update(delta)
         run = prog.advance(edges, delta, run)
-        assertSameRun(run, prog.fromScratch(verts, TestGraphs.arrangement(views(t))), nV,
-                      s"view $t")
+        val scratch = prog.fromScratch(verts, TestGraphs.arrangement(views(t)))
+        assertSameRun(run, scratch, nV, s"view $t")
+        assertJacobi(prog, scratch, nV, views(t), s"view $t scratch")
+        assertJacobi(prog, run, nV, views(t), s"view $t replay")
       }
     }
   }
