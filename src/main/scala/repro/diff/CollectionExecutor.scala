@@ -18,9 +18,9 @@ import Engine._
   * driver, built from δ_0 and advanced by each view's δ, so edge maintenance
   * costs O(|δ|) per view. A run issues one Spark job however many views it
   * has, the vertex ids: a collection built from predicates expands its
-  * stream from its local EBM frame, and an explicit one holds its stream,
-  * so reading either issues none. Every analytic, SCC included, runs on
-  * the driver over the arrangement and issues none.
+  * stream from its EBM's driver columns, and an explicit one holds its
+  * stream, so reading either issues none. Every analytic, SCC included,
+  * runs on the driver over the arrangement and issues none.
   */
 object CollectionExecutor {
 
@@ -67,7 +67,10 @@ object CollectionExecutor {
       case _           => None
     }
 
-    val verts = vertices.select("vid").collect().map(_.getLong(0))
+    // `Dataset.rdd` is planned once per frame, so a frame passed to every
+    // run skips Catalyst after its first.
+    val vid = vertices.schema.fieldIndex("vid")
+    val verts = vertices.rdd.map(_.getLong(vid)).collect()
     val start = System.nanoTime()
     val deltas = collection.deltas()
     val edges = new EdgeArrangement(verts)

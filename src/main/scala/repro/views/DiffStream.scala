@@ -1,9 +1,7 @@
 package repro.views
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.diff.EdgeArrangement.Delta
-import scala.collection.mutable
 
 /** Edge difference stream (§3.2, step 3).
   *
@@ -13,43 +11,47 @@ import scala.collection.mutable
   * leading 0 — exactly the DD difference-set semantics
   * δC_t = GV_t − ⋃_{s&lt;t} δC_s. An edge's flips depend only on its bits,
   * so they are listed once per distinct bit pattern ([[transitions]]): the
-  * stream's length is a sum over [[Ebm.patterns]], and the stream itself is
-  * expanded on the driver, where the analytics read it, from the EBM rows.
-  * On a collection's EBM, a local frame on the driver, neither starts a
-  * Spark job.
+  * stream's length is a sum over the EBM's pattern table, and the stream
+  * itself is expanded on the driver, where the analytics read it, from the
+  * EBM's driver columns ([[Ebm.Columns]]) with no Spark planning. The
+  * functions over an EBM frame read its rows into those columns first.
   */
 object DiffStream {
 
-  /** The difference stream on the driver for the EBM under column ordering
-    * `order` (position t holds original view `order(t)`): element t is
-    * δC_t, its rows per edge in EBM order. It reads the EBM's |E| rows
-    * `eid, src, dst, weight, bits` (a Spark job unless the frame is local);
-    * each distinct pattern's flips are listed once.
+  /** The difference stream on the driver for the EBM frame `ebm` under
+    * column ordering `order` (position t holds original view `order(t)`):
+    * the stream of the frame's rows read as [[Ebm.Columns]] (a Spark job
+    * unless the frame is local).
     */
-  def deltas(ebm: DataFrame, order: Seq[Int]): IndexedSeq[Seq[Delta]] = {
+  def deltas(ebm: DataFrame, order: Seq[Int]): IndexedSeq[Seq[Delta]] =
+    deltas(Ebm.read(ebm), order)
+
+  /** The difference stream of the driver EBM `ebm` under `order`: element t
+    * is δC_t, its rows per edge in EBM order. Each pattern's flips are
+    * listed once; no Spark job runs.
+    */
+  def deltas(ebm: Ebm.Columns, order: Seq[Int]): IndexedSeq[Seq[Delta]] = {
     val ord = order.toIndexedSeq
+    val flips = ebm.bits.map(transitions(_, ord))
     val byT = IndexedSeq.fill(ord.size)(Vector.newBuilder[Delta])
-    val memo = mutable.HashMap.empty[Seq[Long], Seq[(Int, Int)]]
-    ebm.select(col("eid").cast("long"), col("src").cast("long"), col("dst").cast("long"),
-               col("weight").cast("double"), col("bits"))
-      .collect()
-      .foreach { r =>
-        val bits = r.getSeq[Long](4)
-        memo.getOrElseUpdate(bits, transitions(bits, ord)).foreach { case (t, d) =>
-          byT(t) += Delta(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3), d)
-        }
+    var i = 0
+    while (i < ebm.size) {
+      flips(ebm.pattern(i)).foreach { case (t, d) =>
+        byT(t) += Delta(ebm.eid(i), ebm.src(i), ebm.dst(i), ebm.weight(i), d)
       }
+      i += 1
+    }
     byT.map(_.result())
   }
 
-  /** Total number of differences Σ_t |δC_t| for the EBM under `order` —
-    * the COP objective (Definition 1), from the pattern histogram; the
-    * stream is not materialized.
+  /** Total number of differences Σ_t |δC_t| for the EBM frame under
+    * `order` — the COP objective (Definition 1), from its pattern table
+    * ([[Ebm.patterns]]); the stream is not materialized.
     */
   def countDiffs(ebm: DataFrame, order: Seq[Int]): Long = count(Ebm.patterns(ebm), order)
 
-  /** Σ_t |δC_t| under `order` from the EBM's distinct bit patterns and their
-    * multiplicities, on the driver.
+  /** Σ_t |δC_t| under `order` from the EBM's pattern table — its distinct
+    * bit patterns and their multiplicities — on the driver.
     */
   def count(patterns: Seq[(Seq[Long], Long)], order: Seq[Int]): Long = {
     val ord = order.toIndexedSeq

@@ -1,12 +1,14 @@
 package repro.views
 
-import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{ArrayType, BooleanType, LongType, StructField, StructType}
+import org.apache.spark.sql.types.{ArrayType, BooleanType, DoubleType, LongType, StructField,
+                                   StructType}
 import repro.graph.PropertyGraph
 import repro.gvdl.{Ast, Compiler}
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
+import scala.collection.mutable.ArrayBuilder
 
 /** Edge Boolean Matrix (§3.2, step 1).
   *
@@ -29,9 +31,16 @@ import scala.collection.mutable
   * Rows with equal atom values have equal bits, so within a partition the
   * skeletons run once per distinct atom vector, not once per row.
   *
-  * Ordering and the difference stream depend on a row only through its
-  * bits, so they work from the EBM's distinct rows ([[patterns]]) and
-  * their multiplicities: ¹⁰C₅ community removal on ~9K edges has 56.
+  * The job returns the EBM to the driver as [[Columns]]: each partition
+  * sends primitive `eid, src, dst, weight` arrays, a pattern id per edge
+  * and its distinct bit patterns, and the driver concatenates them in
+  * partition order and merges the pattern tables by bits. Ordering and the
+  * difference stream depend on a row only through its bits, so they work
+  * from that pattern table, the EBM's distinct rows with their
+  * multiplicities: ¹⁰C₅ community removal on ~9K edges has 56. The
+  * DataFrame-facing functions ([[compute]], [[fromBoolColumns]],
+  * [[patterns]]) convert between a frame and the same columns ([[read]],
+  * [[Columns.frame]]).
   */
 object Ebm {
 
@@ -50,14 +59,57 @@ object Ebm {
   private final val T: Byte = 1
   private final val U: Byte = 2
 
-  /** Compute the EBM frame: `eid, src, dst, weight, bits: array<long>`.
-    * Bit j (word j/64, offset j%64) is view j in the *given* (pre-ordering)
-    * view order. A predicate with a non-Boolean leaf (`[v: duration]`) is
-    * rejected before any Spark job runs.
+  /** The EBM on the driver, in EBM row order — the order `collect()` gives
+    * for the frame the kernel reads. Edge i is `eid(i), src(i), dst(i)` with
+    * `weight(i)`, and its bits are `bits(pattern(i))`: the pattern table
+    * lists each distinct bit pattern once, in order of first occurrence. It
+    * takes O(|E| + #patterns·⌈k/64⌉) memory, however many views flip each
+    * edge.
     */
-  def compute(graph: PropertyGraph, predicates: Seq[Ast.Expr]): DataFrame = {
+  final class Columns(val eid: Array[Long], val src: Array[Long], val dst: Array[Long],
+                      val weight: Array[Double], val pattern: Array[Int],
+                      val bits: IndexedSeq[Seq[Long]]) extends Serializable {
+
+    def size: Int = eid.length
+
+    /** `counts(p)` is the number of edges with pattern p. */
+    lazy val counts: Array[Long] = {
+      val c = new Array[Long](bits.size)
+      pattern.foreach(p => c(p) += 1)
+      c
+    }
+
+    /** Each distinct bit pattern with the number of edges that have it,
+      * indexed by pattern id.
+      */
+    def patterns: IndexedSeq[(Seq[Long], Long)] = bits.indices.map(p => (bits(p), counts(p)))
+
+    /** The EBM frame `eid, src, dst, weight, bits: array<long>` over these
+      * rows, in their order, as a local frame: building it starts no job.
+      */
+    def frame(spark: SparkSession): DataFrame = {
+      val rows = new java.util.ArrayList[Row](size)
+      var i = 0
+      while (i < size) {
+        rows.add(Row(eid(i), src(i), dst(i), weight(i), bits(pattern(i))))
+        i += 1
+      }
+      spark.createDataFrame(rows, FrameSchema)
+    }
+  }
+
+  private val FrameSchema = StructType(
+    Seq("eid", "src", "dst").map(StructField(_, LongType, nullable = false)) ++
+    Seq(StructField("weight", DoubleType, nullable = false),
+        StructField("bits", ArrayType(LongType, containsNull = false), nullable = false)))
+
+  /** Compute the EBM of `predicates` over `graph` and collect it as driver
+    * columns, in one Spark job. Bit j (word j/64, offset j%64) is view j in
+    * the *given* (pre-ordering) view order. A predicate with a non-Boolean
+    * leaf (`[v: duration]`) is rejected before any Spark job runs.
+    */
+  def columns(graph: PropertyGraph, predicates: Seq[Ast.Expr]): Columns = {
     val resolved = graph.resolved
-    val columns = resolved.columns.toSeq
     val atoms = mutable.LinkedHashMap.empty[Ast.Expr, Int]
     def split(e: Ast.Expr): Skel = e match {
       case Ast.And(l, r) => Conj(split(l), split(r))
@@ -66,24 +118,31 @@ object Ebm {
       case leaf          => Atom(atoms.getOrElseUpdate(leaf, atoms.size))
     }
     val views = predicates.map(split).toIndexedSeq
-    val weight = if (columns.contains("weight")) coalesce(col("weight"), lit(1.0)) else lit(1.0)
-    pack(resolved, Seq(col("eid"), col("src"), col("dst"), weight.as("weight")),
-         atoms.keys.toSeq.map(Compiler.edgePredicate(_, columns)), views)
+    pack(resolved, atoms.keys.toSeq.map(Compiler.edgePredicate(_, resolved.columns.toSeq)), views)
   }
 
-  /** Pack arbitrary boolean columns of `df` into a `bits` array column:
-    * view j is column j.
+  /** The EBM frame `eid, src, dst, weight, bits: array<long>` of
+    * `predicates` over `graph`: [[columns]] as a local frame.
     */
-  def fromBoolColumns(df: DataFrame, predicates: Seq[Column]): DataFrame = {
-    val weight = if (df.columns.contains("weight")) Nil else Seq(lit(1.0).as("weight"))
-    pack(df, df.columns.toSeq.map(col) ++ weight, predicates, predicates.indices.map(Atom(_)))
-  }
+  def compute(graph: PropertyGraph, predicates: Seq[Ast.Expr]): DataFrame =
+    columns(graph, predicates).frame(graph.edges.sparkSession)
 
-  /** `df`'s `keep` columns plus `bits`, where bit j is set iff `views(j)`
-    * is TRUE over the row's values of `atoms`.
+  /** Pack arbitrary boolean columns of `df` into an EBM frame: view j is
+    * column j. `df` needs an `eid`; without `src`/`dst` columns both read 0.
     */
-  private def pack(df: DataFrame, keep: Seq[Column], atoms: Seq[Column],
-                   views: IndexedSeq[Skel]): DataFrame = {
+  def fromBoolColumns(df: DataFrame, predicates: Seq[Column]): DataFrame =
+    pack(df, predicates, predicates.indices.map(Atom(_))).frame(df.sparkSession)
+
+  /** `df`'s EBM as driver columns, where bit j is set iff `views(j)` is TRUE
+    * over the row's values of `atoms` — the one kernel. One `mapPartitions`
+    * emits each partition's rows as [[Columns]] with pattern ids of its own,
+    * and the driver [[merge]]s them. A missing weight, or a null one, reads
+    * 1.0.
+    */
+  private def pack(df: DataFrame, atoms: Seq[Column], views: IndexedSeq[Skel]): Columns = {
+    def endpoint(c: String) = (if (df.columns.contains(c)) col(c) else lit(0L)).cast("long")
+    val weight = if (df.columns.contains("weight")) coalesce(col("weight"), lit(1.0)) else lit(1.0)
+    val keep = Seq(col("eid").cast("long"), endpoint("src"), endpoint("dst"), weight.cast("double"))
     val in = df.select(keep ++ atoms.zipWithIndex.map { case (a, i) => a.as(s"__atom$i") }: _*)
     val n = keep.size
     val types = in.schema.fields.drop(n).map(_.dataType)
@@ -96,33 +155,91 @@ object Ebm {
     val k = views.size
     val w = words(k)
     val skels = views.toArray
-    val rows = in.rdd.mapPartitions { it =>
-      val memo = mutable.HashMap.empty[ArraySeq[Byte], Array[Long]]
+    // Catalyst's internal rows: each value is read once, so no Row is built.
+    val parts = in.queryExecution.toRdd.mapPartitions { it =>
+      val part = new PartBuilder
+      val memo = mutable.HashMap.empty[ArraySeq[Byte], Int]
       val v = new Array[Byte](m)
-      it.map { r =>
+      it.foreach { r =>
         var i = 0
         while (i < m) {
           v(i) = if (r.isNullAt(n + i)) U else if (r.getBoolean(n + i)) T else F
           i += 1
         }
-        val bits = memo.getOrElseUpdate(ArraySeq.unsafeWrapArray(v.clone()), {
+        val p = memo.getOrElseUpdate(ArraySeq.unsafeWrapArray(v.clone()), {
           val b = new Array[Long](w)
           var j = 0
           while (j < k) {
             if (eval(skels(j), v) == T) b(j >> 6) |= 1L << (j & 63)
             j += 1
           }
-          b
+          part.idOf(b)
         })
-        val out = new Array[Any](n + 1)
-        i = 0
-        while (i < n) { out(i) = r.get(i); i += 1 }
-        out(n) = bits
-        Row.fromSeq(ArraySeq.unsafeWrapArray(out))
+        part.add(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3), p)
       }
+      Iterator.single(part.result())
+    }.collect()
+    merge(parts)
+  }
+
+  /** Accumulates one partition's rows and its distinct bit patterns. */
+  private final class PartBuilder {
+    private val eid, src, dst = new ArrayBuilder.ofLong
+    private val weight = new ArrayBuilder.ofDouble
+    private val pattern = new ArrayBuilder.ofInt
+    private val ids = mutable.HashMap.empty[Seq[Long], Int]
+    private val table = mutable.ArrayBuffer.empty[Seq[Long]]
+
+    /** The partition's id of pattern `bits`, assigned on first sight. */
+    def idOf(bits: Array[Long]): Int = {
+      val key = ArraySeq.unsafeWrapArray(bits)
+      ids.getOrElseUpdate(key, { table += key; table.size - 1 })
     }
-    val bitsField = StructField("bits", ArrayType(LongType, containsNull = false), nullable = false)
-    df.sparkSession.createDataFrame(rows, StructType(in.schema.fields.take(n) :+ bitsField))
+
+    def add(e: Long, s: Long, d: Long, wt: Double, p: Int): Unit = {
+      eid += e; src += s; dst += d; weight += wt; pattern += p
+    }
+
+    def result(): Columns = new Columns(eid.result(), src.result(), dst.result(), weight.result(),
+                                       pattern.result(), table.toIndexedSeq)
+  }
+
+  /** Concatenate partitions in order, merging their pattern tables by bits. */
+  private def merge(parts: Array[Columns]): Columns = {
+    val size = parts.map(_.size).sum
+    val eid, src, dst = new Array[Long](size)
+    val weight = new Array[Double](size)
+    val pattern = new Array[Int](size)
+    val ids = mutable.HashMap.empty[Seq[Long], Int]
+    val bits = mutable.ArrayBuffer.empty[Seq[Long]]
+    var off = 0
+    for (p <- parts) {
+      val global = p.bits.map(b => ids.getOrElseUpdate(b, { bits += b; bits.size - 1 }))
+      val len = p.size
+      System.arraycopy(p.eid, 0, eid, off, len)
+      System.arraycopy(p.src, 0, src, off, len)
+      System.arraycopy(p.dst, 0, dst, off, len)
+      System.arraycopy(p.weight, 0, weight, off, len)
+      var i = 0
+      while (i < len) { pattern(off + i) = global(p.pattern(i)); i += 1 }
+      off += len
+    }
+    new Columns(eid, src, dst, weight, pattern, bits.toIndexedSeq)
+  }
+
+  /** An EBM frame's rows `eid, src, dst, weight, bits` on the driver, in the
+    * frame's order (a Spark job unless the frame is local).
+    */
+  def read(ebm: DataFrame): Columns = {
+    val part = new PartBuilder
+    ebm.select(col("eid").cast("long"), col("src").cast("long"), col("dst").cast("long"),
+               col("weight").cast("double"), col("bits"))
+      .collect()
+      .foreach { r =>
+        part.add(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3),
+                 part.idOf(r.getSeq[Long](4).toArray))
+      }
+    part.result()
   }
 
   private def atomsOf(s: Skel): Seq[Int] = s match {
@@ -151,19 +268,11 @@ object Ebm {
   /** Test bit j of one row's packed `bits`. */
   def isSet(bits: Seq[Long], j: Int): Boolean = (bits(j / 64) & (1L << (j % 64))) != 0L
 
-  /** The EBM's distinct rows (bit patterns), each with the number of edges
-    * that have it, in no particular order: a histogram on the driver over
-    * the collected `bits` column, so on a collection's local EBM frame no
-    * Spark job runs. Everything that depends on an edge only through its
+  /** An EBM frame's distinct rows (bit patterns), each with the number of
+    * edges that have it, in order of first occurrence ([[Columns.patterns]]
+    * of [[read]]). Everything that depends on an edge only through its
     * bits — the Hamming clique, Σ_t |δC_t| under any order — is a sum over
     * these patterns, and there are at most min(|E|, 3^#atoms) of them.
     */
-  def patterns(ebm: DataFrame): Seq[(Seq[Long], Long)] = {
-    val counts = mutable.HashMap.empty[Seq[Long], Long]
-    ebm.select("bits").collect().foreach { r =>
-      val bits = r.getSeq[Long](0)
-      counts(bits) = counts.getOrElse(bits, 0L) + 1L
-    }
-    counts.toSeq
-  }
+  def patterns(ebm: DataFrame): Seq[(Seq[Long], Long)] = read(ebm).patterns
 }

@@ -10,25 +10,28 @@ import repro.ordering.{CollectionOrderer, Hamming}
 /** A view collection (§3.2): views organized as a single timestamped
   * edge-difference stream, which the collection hands out on the driver.
   *
-  * A collection built from predicates keeps its EBM collected on the driver
-  * as a local frame and its stream factorized: `totalDiffs` and the
-  * ordering come from the EBM's distinct bit patterns, and each call of
-  * `deltas` expands the stream from the EBM ([[DiffStream.deltas]]).
+  * A collection built from predicates keeps its EBM on the driver as
+  * columns ([[Ebm.Columns]]: `eid, src, dst, weight` and a pattern id per
+  * edge, plus the pattern table), O(|E| + #patterns·⌈k/64⌉) memory for the
+  * collection's life, and its stream factorized: `totalDiffs` and the
+  * ordering come from the pattern table, and each call of `deltas` expands
+  * the stream from the columns ([[DiffStream.deltas]]) with no Spark
+  * planning.
   *
   * @param name        collection name
   * @param viewNames   view names in *execution* order (after ordering)
   * @param order       σ: execution position → original view index
   * @param deltas      the difference stream on the driver: `deltas()(t)`
   *                    is δC_t (empty where view t equals view t−1). Built
-  *                    from predicates, each call expands the local EBM on
-  *                    the driver and nothing is kept between calls; an
+  *                    from predicates, each call expands the EBM's driver
+  *                    columns and nothing is kept between calls; an
   *                    explicit stream is held as given. Neither runs a
   *                    Spark job
   * @param numViews    k
   * @param totalDiffs  Σ_t |δC_t| (the COP objective value of `order`),
   *                    summed over bit patterns when built from predicates
-  * @param ebm         the packed edge boolean matrix as a local frame over
-  *                    its collected rows, when built from predicates
+  * @param ebm         the packed edge boolean matrix as a local frame built
+  *                    from its driver columns, when built from predicates
   *                    (absent for explicit-diff collections)
   * @param cct         collection creation time breakdown, milliseconds
   */
@@ -59,10 +62,11 @@ final case class ViewCollection(
 object ViewCollection {
 
   /** CCT breakdown, milliseconds. For a collection built from predicates:
-    * `ebmMs` computes the EBM and collects it to the driver (the build's one
-    * Spark job); `orderMs` counts its distinct bit patterns and orders the
-    * views from them; `diffMs` sums Σ_t |δC_t| over the patterns. Both run
-    * on the driver. `patterns` is the number of distinct patterns. An
+    * `ebmMs` computes the EBM and collects it as driver columns with its
+    * pattern table (the build's one Spark job), then builds the local
+    * `ebm` frame; `orderMs` orders the views from the pattern table;
+    * `diffMs` sums Σ_t |δC_t| over the patterns. Both run on the driver.
+    * `patterns` is the number of distinct patterns. An
     * explicit-diff collection holds its stream as given and records all
     * three as 0.
     */
@@ -80,10 +84,10 @@ object ViewCollection {
   final case class RandomOrder(seed: Long) extends OrderStrategy
 
   /** Build a collection from named predicates (§3.2 steps 1–3) in one
-    * Spark job, which computes the EBM and collects it into a local frame.
-    * The pattern histogram, the ordering and Σ_t |δC_t| run on the driver,
-    * the last two once per distinct pattern; the stream is expanded only
-    * when `deltas` is read.
+    * Spark job, which computes the EBM and collects it as driver columns
+    * with its pattern table. The ordering and Σ_t |δC_t| run on the driver
+    * once per distinct pattern; the stream is expanded only when `deltas`
+    * is read.
     */
   def build(graph: PropertyGraph, name: String,
             views: Seq[(String, Ast.Expr)],
@@ -92,12 +96,11 @@ object ViewCollection {
     require(k >= 1, "a view collection needs at least one view")
 
     val t0  = System.nanoTime()
-    val computed = Ebm.compute(graph, views.map(_._2))
-    val ebm = computed.sparkSession.createDataFrame(
-      java.util.Arrays.asList(computed.collect(): _*), computed.schema)
+    val columns = Ebm.columns(graph, views.map(_._2))
+    val ebm = columns.frame(graph.edges.sparkSession)
     val t1  = System.nanoTime()
 
-    val patterns = Ebm.patterns(ebm)
+    val patterns = columns.patterns
     val order = strategy match {
       case GivenOrder        => 0 until k
       case RandomOrder(seed) => CollectionOrderer.randomOrder(k, seed)
@@ -115,7 +118,7 @@ object ViewCollection {
       Console.err.println(
         f"[cct] $name%s views=$k%d patterns=${cct.patterns}%d diffs=$total%d " +
         f"ebm=${cct.ebmMs}%d order=${cct.orderMs}%d diff=${cct.diffMs}%d ms")
-    ViewCollection(name, order.map(views(_)._1), order, () => DiffStream.deltas(ebm, order), k,
+    ViewCollection(name, order.map(views(_)._1), order, () => DiffStream.deltas(columns, order), k,
                    total, Some(ebm), cct)
   }
 

@@ -37,7 +37,7 @@ class SccSpec extends ReproSpec {
   }
 
   for (seed <- Seq(1, 2, 3, 4)) {
-    test(s"coloring SCC matches Tarjan on a random digraph (seed=$seed)") {
+    test(s"SCC matches Tarjan on a random digraph (seed=$seed)") {
       val rnd = new Random(seed)
       val nV = 30 + rnd.nextInt(20)
       val edges = TestGraphs.randomEdges(rnd, nV, nV * 2)

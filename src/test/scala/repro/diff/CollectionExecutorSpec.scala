@@ -68,7 +68,7 @@ class CollectionExecutorSpec extends ReproSpec {
     } finally sc.removeSparkListener(counter)
   }
 
-  test("a GVDL build of 34 views runs one Spark job: the EBM, collected into a local frame") {
+  test("a GVDL build of 34 views runs one Spark job: the EBM, collected as driver columns") {
     val g = repro.graph.GraphGen.callGraph(spark, nV = 60, nE = 300)
     val gvdl = (1 to 34).map(d => s"[D$d: duration <= $d]")
       .mkString("create view collection chain on Calls ", ", ", "")

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, ReproSpec, TestGraphs}
 import repro.diff.EdgeArrangement.Delta
 import repro.graph.{GraphGen, PropertyGraph}
-import repro.gvdl.{Compiler, Parser}
+import repro.gvdl.{Ast, Compiler, Parser}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -124,10 +124,12 @@ class EbmDiffSpec extends ReproSpec {
   }
 
   private lazy val communities = GraphGen.communityGraph(spark, nV = 100, nE = 400, nComm = 12)
-  private val removalGvdl = (0 until 10).combinations(5).map { s =>
-    s"[drop-${s.mkString("-")}: " +
-      s.map(c => s"src.comm != $c and dst.comm != $c").mkString(" and ") + "]"
-  }.mkString("create view collection removal on communities ", ", ", "")
+  private val removed = (0 until 10).combinations(5).toSeq
+  private val removalTexts =
+    removed.map(_.map(c => s"src.comm != $c and dst.comm != $c").mkString(" and "))
+  private val removalGvdl = removed.zip(removalTexts)
+    .map { case (s, p) => s"[drop-${s.mkString("-")}: $p]" }
+    .mkString("create view collection removal on communities ", ", ", "")
 
   test("10C5 community removal: the stream is the per-edge stream (Graphsurge order)") {
     val coll = ViewCollection.fromGvdl(communities, removalGvdl, ViewCollection.GraphsurgeOrder)
@@ -230,5 +232,88 @@ class EbmDiffSpec extends ReproSpec {
       (3L, 1, 1),
       (4L, 0, 1))
     assert(diffs == expected)
+  }
+
+  /** `body` with `n` shuffle partitions, so `resolved` and the EBM kernel
+    * read `n` partitions.
+    */
+  private def withShufflePartitions[A](n: Int)(body: => A): A = {
+    val key = "spark.sql.shuffle.partitions"
+    val old = spark.conf.get(key)
+    spark.conf.set(key, n.toString)
+    try body finally spark.conf.set(key, old)
+  }
+
+  private def leaves(e: Ast.Expr): Seq[Ast.Expr] = e match {
+    case Ast.And(l, r) => leaves(l) ++ leaves(r)
+    case Ast.Or(l, r)  => leaves(l) ++ leaves(r)
+    case Ast.Not(x)    => leaves(x)
+    case leaf          => Seq(leaf)
+  }
+
+  /** `Ebm.columns` against the frame path: `resolved` with every view and
+    * atom as a Catalyst column, collected, and bits set on the driver where
+    * a view is TRUE. The columns hold the frame's rows in its order, every
+    * edge's pattern id names its bits, and the pattern table lists the
+    * frame's distinct bits in order of first occurrence with their counts.
+    * Returns the frame path's partition count and whether two partitions
+    * reach one bit pattern from different atom vectors.
+    */
+  private def assertColumnsAreFramePath(g: PropertyGraph, texts: Seq[String]): (Int, Boolean) = {
+    val ps = texts.map(Parser.parsePredicate)
+    val atoms = ps.flatMap(leaves).distinct
+    val cols = g.resolved.columns.toSeq
+    val weight = if (cols.contains("weight")) coalesce(col("weight"), lit(1.0)) else lit(1.0)
+    val rows = g.resolved.select(
+      Seq(col("eid").cast("long"), col("src").cast("long"), col("dst").cast("long"),
+          weight.cast("double"), spark_partition_id()) ++
+      (ps ++ atoms).map(Compiler.edgePredicate(_, cols)): _*).collect().toSeq
+    def truth(r: org.apache.spark.sql.Row, i: Int): Option[Boolean] =
+      if (r.isNullAt(i)) None else Some(r.getBoolean(i))
+    val bits = rows.map { r =>
+      val b = new Array[Long](Ebm.words(ps.size))
+      for (j <- ps.indices if truth(r, 5 + j).contains(true)) b(j / 64) |= 1L << (j % 64)
+      b.toSeq
+    }
+    val c = Ebm.columns(g, ps)
+    assert(c.size == rows.size)
+    for ((r, i) <- rows.zipWithIndex) {
+      assert((c.eid(i), c.src(i), c.dst(i), c.weight(i)) ==
+               ((r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3))), s"row $i")
+      assert(c.bits(c.pattern(i)) == bits(i), s"row $i bits")
+    }
+    val histogram = bits.groupMapReduce(identity)(_ => 1L)(_ + _)
+    assert(c.patterns == bits.distinct.map(b => (b, histogram(b))))
+    val back = Ebm.read(c.frame(spark))
+    assert(back.patterns == c.patterns && back.pattern.toSeq == c.pattern.toSeq &&
+           back.eid.toSeq == c.eid.toSeq && back.weight.toSeq == c.weight.toSeq)
+
+    val byBits = rows.zip(bits).groupMap(_._2) { case (r, _) =>
+      (r.getInt(4), atoms.indices.map(a => truth(r, 5 + ps.size + a)))
+    }
+    val crossed = byBits.values.exists { rs =>
+      rs.exists { case (p, v) => rs.exists { case (q, u) => p != q && v != u } }
+    }
+    (rows.map(_.getInt(4)).distinct.size, crossed)
+  }
+
+  test("the kernel's driver columns are the frame path row for row, in EBM order") {
+    withShufflePartitions(5) {
+      assertColumnsAreFramePath(nullGraph, nullTexts)
+      val (callParts, _) = assertColumnsAreFramePath(graph, predTexts)
+      assert(callParts >= 4, s"$callParts partitions")
+      val (parts, crossed) = assertColumnsAreFramePath(communities, removalTexts)
+      assert(parts >= 4 && crossed, s"$parts partitions; crossed = $crossed")
+    }
+  }
+
+  test("a GVDL collection read over five partitions keeps one pattern table") {
+    withShufflePartitions(5) {
+      val coll = ViewCollection.fromGvdl(communities, removalGvdl, ViewCollection.GraphsurgeOrder)
+      assertStreamIsReference(coll)
+      val patterns = Ebm.patterns(coll.ebm.get)
+      assert(coll.cct.patterns == patterns.size)
+      assert(coll.totalDiffs == DiffStream.count(patterns, coll.order))
+    }
   }
 }
