@@ -10,7 +10,7 @@ object Engine {
   /** Materialize a frame into the block manager and cut its lineage:
     * Spark's own eager local checkpoint. A frame read several times (a
     * bench graph by every pass or cell) is computed once. A collection's
-    * EBM does not come here: its build collects it into a local frame. No
+    * EBM does not come here: its build collects it as driver columns. No
     * frame checkpointed here comes from an iterated or self-joined plan,
     * so the plan statistics the checkpoint inherits from its origin stay
     * bounded. Not `persist`: the CacheManager would keep every plan until

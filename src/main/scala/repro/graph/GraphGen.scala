@@ -77,27 +77,6 @@ object GraphGen {
   }
 
   // -------------------------------------------------------------------
-  // Stack Overflow analog (§7.2): temporal graph with creation timestamps.
-  // -------------------------------------------------------------------
-
-  /** Temporal digraph: every edge has a `ts` long property, uniform over
-    * [0, horizon). The paper's C_sim / C_no collections are year/month
-    * windows over such timestamps.
-    */
-  def temporalGraph(spark: SparkSession, nV: Long, nE: Long,
-                    horizon: Long = 96, seed: Long = 13): PropertyGraph = {
-    val nodes = spark.range(nV).toDF("id")
-    val edges = spark.range(nE).select(
-      col("id").as("eid"),
-      hlong(col("id"), seed, nV).as("src"),
-      hlong(col("id"), seed + 1, nV).as("dst"),
-      hlong(col("id"), seed + 2, horizon).as("ts"),
-    ).withColumn("weight", lit(1.0))
-     .where(col("src") =!= col("dst"))
-    PropertyGraph(nodes, edges)
-  }
-
-  // -------------------------------------------------------------------
   // Semantic Scholar citation analog (Table 3): year + co-author count.
   // -------------------------------------------------------------------
 

@@ -10,15 +10,15 @@ import repro.views.Ebm
   * the per-view popcounts n_i and co-occurrence counts n_ij are summed over
   * set-bit indices, and d(i,j) = n_i + n_j − 2·n_ij. Edges with equal bits
   * add equal counts, so each distinct pattern of the EBM's pattern table
-  * (which a collection build gets from its one collect, and [[Ebm.patterns]]
-  * reads from an EBM frame) is counted once, times its multiplicity, on the
+  * (a build's [[repro.views.Ebm.Columns]], or [[Ebm.patterns]] of an
+  * exported frame's `bits`) is counted once, times its multiplicity, on the
   * driver. The padded all-zero column of CBMP₁.₅ appears as index 0 with
   * d(0, j) = n_j; view j is index j+1.
   */
 object Hamming {
 
   /** (k+1)×(k+1) distance matrix, index 0 = padded zero column, from the
-    * pattern table of the EBM frame `ebm`.
+    * pattern table of the EBM frame `ebm`, which only its `bits` enter.
     */
   def distances(ebm: DataFrame, k: Int): Array[Array[Double]] =
     fromPatterns(Ebm.patterns(ebm), k)

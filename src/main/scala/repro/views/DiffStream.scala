@@ -13,22 +13,16 @@ import repro.diff.EdgeArrangement.Delta
   * so they are listed once per distinct bit pattern ([[transitions]]): the
   * stream's length is a sum over the EBM's pattern table, and the stream
   * itself is expanded on the driver, where the analytics read it, from the
-  * EBM's driver columns ([[Ebm.Columns]]) with no Spark planning. The
-  * functions over an EBM frame read its rows into those columns first.
+  * EBM's driver columns ([[Ebm.Columns]]) with no Spark planning. Only
+  * [[countDiffs]] takes an EBM frame, an export, and it reads only the
+  * frame's `bits`.
   */
 object DiffStream {
 
-  /** The difference stream on the driver for the EBM frame `ebm` under
-    * column ordering `order` (position t holds original view `order(t)`):
-    * the stream of the frame's rows read as [[Ebm.Columns]] (a Spark job
-    * unless the frame is local).
-    */
-  def deltas(ebm: DataFrame, order: Seq[Int]): IndexedSeq[Seq[Delta]] =
-    deltas(Ebm.read(ebm), order)
-
-  /** The difference stream of the driver EBM `ebm` under `order`: element t
-    * is δC_t, its rows per edge in EBM order. Each pattern's flips are
-    * listed once; no Spark job runs.
+  /** The difference stream of the driver EBM `ebm` under column ordering
+    * `order` (position t holds original view `order(t)`): element t is
+    * δC_t, its rows per edge in EBM order. Each pattern's flips are listed
+    * once; no Spark job runs.
     */
   def deltas(ebm: Ebm.Columns, order: Seq[Int]): IndexedSeq[Seq[Delta]] = {
     val ord = order.toIndexedSeq
@@ -45,8 +39,8 @@ object DiffStream {
   }
 
   /** Total number of differences Σ_t |δC_t| for the EBM frame under
-    * `order` — the COP objective (Definition 1), from its pattern table
-    * ([[Ebm.patterns]]); the stream is not materialized.
+    * `order` — the COP objective (Definition 1), from the pattern table of
+    * its `bits` ([[Ebm.patterns]]); the stream is not materialized.
     */
   def countDiffs(ebm: DataFrame, order: Seq[Int]): Long = count(Ebm.patterns(ebm), order)
 

@@ -1,9 +1,8 @@
 package repro.views
 
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{ArrayType, BooleanType, DoubleType, LongType, StructField,
-                                   StructType}
+import org.apache.spark.sql.types.BooleanType
 import repro.graph.PropertyGraph
 import repro.gvdl.{Ast, Compiler}
 import scala.collection.immutable.ArraySeq
@@ -38,9 +37,10 @@ import scala.collection.mutable.ArrayBuilder
   * difference stream depend on a row only through its bits, so they work
   * from that pattern table, the EBM's distinct rows with their
   * multiplicities: ¹⁰C₅ community removal on ~9K edges has 56. The
-  * DataFrame-facing functions ([[compute]], [[fromBoolColumns]],
-  * [[patterns]]) convert between a frame and the same columns ([[read]],
-  * [[Columns.frame]]).
+  * columns are the only EBM a build makes: no `Row` and no DataFrame, and
+  * driver memory stays O(|E| + #patterns·⌈k/64⌉). A DataFrame is only an
+  * export ([[Columns.frame]]), and [[patterns]] reads such a frame's
+  * `bits` back into a pattern table.
   */
 object Ebm {
 
@@ -72,36 +72,25 @@ object Ebm {
 
     def size: Int = eid.length
 
-    /** `counts(p)` is the number of edges with pattern p. */
-    lazy val counts: Array[Long] = {
-      val c = new Array[Long](bits.size)
-      pattern.foreach(p => c(p) += 1)
-      c
-    }
-
     /** Each distinct bit pattern with the number of edges that have it,
       * indexed by pattern id.
       */
-    def patterns: IndexedSeq[(Seq[Long], Long)] = bits.indices.map(p => (bits(p), counts(p)))
+    lazy val patterns: IndexedSeq[(Seq[Long], Long)] = {
+      val counts = new Array[Long](bits.size)
+      pattern.foreach(p => counts(p) += 1)
+      bits.zip(counts)
+    }
 
-    /** The EBM frame `eid, src, dst, weight, bits: array<long>` over these
-      * rows, in their order, as a local frame: building it starts no job.
+    /** These rows exported as the EBM frame `eid, src, dst, weight,
+      * bits: array<long>`, in their order, as a local frame: building it
+      * starts no job. Nothing in a build calls it.
       */
     def frame(spark: SparkSession): DataFrame = {
-      val rows = new java.util.ArrayList[Row](size)
-      var i = 0
-      while (i < size) {
-        rows.add(Row(eid(i), src(i), dst(i), weight(i), bits(pattern(i))))
-        i += 1
-      }
-      spark.createDataFrame(rows, FrameSchema)
+      import spark.implicits._
+      (0 until size).map(i => (eid(i), src(i), dst(i), weight(i), bits(pattern(i))))
+        .toDF("eid", "src", "dst", "weight", "bits")
     }
   }
-
-  private val FrameSchema = StructType(
-    Seq("eid", "src", "dst").map(StructField(_, LongType, nullable = false)) ++
-    Seq(StructField("weight", DoubleType, nullable = false),
-        StructField("bits", ArrayType(LongType, containsNull = false), nullable = false)))
 
   /** Compute the EBM of `predicates` over `graph` and collect it as driver
     * columns, in one Spark job. Bit j (word j/64, offset j%64) is view j in
@@ -121,17 +110,12 @@ object Ebm {
     pack(resolved, atoms.keys.toSeq.map(Compiler.edgePredicate(_, resolved.columns.toSeq)), views)
   }
 
-  /** The EBM frame `eid, src, dst, weight, bits: array<long>` of
-    * `predicates` over `graph`: [[columns]] as a local frame.
+  /** Pack arbitrary boolean columns of `df` into driver EBM columns: view j
+    * is column j. `df` needs an `eid`; without `src`/`dst` columns both
+    * read 0.
     */
-  def compute(graph: PropertyGraph, predicates: Seq[Ast.Expr]): DataFrame =
-    columns(graph, predicates).frame(graph.edges.sparkSession)
-
-  /** Pack arbitrary boolean columns of `df` into an EBM frame: view j is
-    * column j. `df` needs an `eid`; without `src`/`dst` columns both read 0.
-    */
-  def fromBoolColumns(df: DataFrame, predicates: Seq[Column]): DataFrame =
-    pack(df, predicates, predicates.indices.map(Atom(_))).frame(df.sparkSession)
+  def fromBoolColumns(df: DataFrame, predicates: Seq[Column]): Columns =
+    pack(df, predicates, predicates.indices.map(Atom(_)))
 
   /** `df`'s EBM as driver columns, where bit j is set iff `views(j)` is TRUE
     * over the row's values of `atoms` — the one kernel. One `mapPartitions`
@@ -173,7 +157,7 @@ object Ebm {
             if (eval(skels(j), v) == T) b(j >> 6) |= 1L << (j & 63)
             j += 1
           }
-          part.idOf(b)
+          part.idOf(ArraySeq.unsafeWrapArray(b))
         })
         part.add(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3), p)
       }
@@ -182,7 +166,10 @@ object Ebm {
     merge(parts)
   }
 
-  /** Accumulates one partition's rows and its distinct bit patterns. */
+  /** Accumulates EBM rows in order and their distinct bit patterns in
+    * order of first occurrence: one partition's in the kernel, all of them
+    * in [[merge]].
+    */
   private final class PartBuilder {
     private val eid, src, dst = new ArrayBuilder.ofLong
     private val weight = new ArrayBuilder.ofDouble
@@ -190,11 +177,8 @@ object Ebm {
     private val ids = mutable.HashMap.empty[Seq[Long], Int]
     private val table = mutable.ArrayBuffer.empty[Seq[Long]]
 
-    /** The partition's id of pattern `bits`, assigned on first sight. */
-    def idOf(bits: Array[Long]): Int = {
-      val key = ArraySeq.unsafeWrapArray(bits)
-      ids.getOrElseUpdate(key, { table += key; table.size - 1 })
-    }
+    /** The id of pattern `bits`, assigned on first sight. */
+    def idOf(bits: Seq[Long]): Int = ids.getOrElseUpdate(bits, { table += bits; table.size - 1 })
 
     def add(e: Long, s: Long, d: Long, wt: Double, p: Int): Unit = {
       eid += e; src += s; dst += d; weight += wt; pattern += p
@@ -204,42 +188,20 @@ object Ebm {
                                        pattern.result(), table.toIndexedSeq)
   }
 
-  /** Concatenate partitions in order, merging their pattern tables by bits. */
-  private def merge(parts: Array[Columns]): Columns = {
-    val size = parts.map(_.size).sum
-    val eid, src, dst = new Array[Long](size)
-    val weight = new Array[Double](size)
-    val pattern = new Array[Int](size)
-    val ids = mutable.HashMap.empty[Seq[Long], Int]
-    val bits = mutable.ArrayBuffer.empty[Seq[Long]]
-    var off = 0
-    for (p <- parts) {
-      val global = p.bits.map(b => ids.getOrElseUpdate(b, { bits += b; bits.size - 1 }))
-      val len = p.size
-      System.arraycopy(p.eid, 0, eid, off, len)
-      System.arraycopy(p.src, 0, src, off, len)
-      System.arraycopy(p.dst, 0, dst, off, len)
-      System.arraycopy(p.weight, 0, weight, off, len)
-      var i = 0
-      while (i < len) { pattern(off + i) = global(p.pattern(i)); i += 1 }
-      off += len
-    }
-    new Columns(eid, src, dst, weight, pattern, bits.toIndexedSeq)
-  }
-
-  /** An EBM frame's rows `eid, src, dst, weight, bits` on the driver, in the
-    * frame's order (a Spark job unless the frame is local).
+  /** Concatenate partitions in order, remapping each one's pattern ids
+    * through the merged table.
     */
-  def read(ebm: DataFrame): Columns = {
-    val part = new PartBuilder
-    ebm.select(col("eid").cast("long"), col("src").cast("long"), col("dst").cast("long"),
-               col("weight").cast("double"), col("bits"))
-      .collect()
-      .foreach { r =>
-        part.add(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3),
-                 part.idOf(r.getSeq[Long](4).toArray))
+  private def merge(parts: Array[Columns]): Columns = {
+    val all = new PartBuilder
+    for (p <- parts) {
+      val global = p.bits.map(all.idOf)
+      var i = 0
+      while (i < p.size) {
+        all.add(p.eid(i), p.src(i), p.dst(i), p.weight(i), global(p.pattern(i)))
+        i += 1
       }
-    part.result()
+    }
+    all.result()
   }
 
   private def atomsOf(s: Skel): Seq[Int] = s match {
@@ -269,10 +231,19 @@ object Ebm {
   def isSet(bits: Seq[Long], j: Int): Boolean = (bits(j / 64) & (1L << (j % 64))) != 0L
 
   /** An EBM frame's distinct rows (bit patterns), each with the number of
-    * edges that have it, in order of first occurrence ([[Columns.patterns]]
-    * of [[read]]). Everything that depends on an edge only through its
-    * bits — the Hamming clique, Σ_t |δC_t| under any order — is a sum over
-    * these patterns, and there are at most min(|E|, 3^#atoms) of them.
+    * edges that have it, in order of first occurrence, read from its `bits`
+    * alone (a Spark job unless the frame is local): [[Columns.patterns]] of
+    * the columns the frame was exported from. Everything that depends on an
+    * edge only through its bits — the Hamming clique, Σ_t |δC_t| under any
+    * order — is a sum over these patterns, and there are at most
+    * min(|E|, 3^#atoms) of them.
     */
-  def patterns(ebm: DataFrame): Seq[(Seq[Long], Long)] = read(ebm).patterns
+  def patterns(ebm: DataFrame): Seq[(Seq[Long], Long)] = {
+    val counts = mutable.LinkedHashMap.empty[Seq[Long], Long]
+    ebm.select("bits").collect().foreach { r =>
+      val b = r.getSeq[Long](0)
+      counts(b) = counts.getOrElse(b, 0L) + 1
+    }
+    counts.toSeq
+  }
 }

@@ -16,7 +16,8 @@ import repro.ordering.{CollectionOrderer, Hamming}
   * collection's life, and its stream factorized: `totalDiffs` and the
   * ordering come from the pattern table, and each call of `deltas` expands
   * the stream from the columns ([[DiffStream.deltas]]) with no Spark
-  * planning.
+  * planning. The build makes no `Row` and no DataFrame; `ebm` exports the
+  * columns as a frame on its first read.
   *
   * @param name        collection name
   * @param viewNames   view names in *execution* order (after ordering)
@@ -30,9 +31,9 @@ import repro.ordering.{CollectionOrderer, Hamming}
   * @param numViews    k
   * @param totalDiffs  Σ_t |δC_t| (the COP objective value of `order`),
   *                    summed over bit patterns when built from predicates
-  * @param ebm         the packed edge boolean matrix as a local frame built
-  *                    from its driver columns, when built from predicates
-  *                    (absent for explicit-diff collections)
+  * @param columns     the packed edge boolean matrix as driver columns,
+  *                    when built from predicates (absent for explicit-diff
+  *                    collections)
   * @param cct         collection creation time breakdown, milliseconds
   */
 final case class ViewCollection(
@@ -42,8 +43,13 @@ final case class ViewCollection(
     deltas: () => IndexedSeq[Seq[Delta]],
     numViews: Int,
     totalDiffs: Long,
-    ebm: Option[DataFrame],
+    columns: Option[Ebm.Columns],
     cct: ViewCollection.Cct) {
+
+  /** `columns` exported as a local EBM frame in the active session
+    * ([[Ebm.Columns.frame]]), built on first read.
+    */
+  lazy val ebm: Option[DataFrame] = columns.map(_.frame(SparkSession.active))
 
   /** The view at execution position t, Σ_{s<=t} δC_s, folded through an
     * [[repro.diff.EdgeArrangement]] from one read of `deltas`, with its
@@ -63,8 +69,8 @@ object ViewCollection {
 
   /** CCT breakdown, milliseconds. For a collection built from predicates:
     * `ebmMs` computes the EBM and collects it as driver columns with its
-    * pattern table (the build's one Spark job), then builds the local
-    * `ebm` frame; `orderMs` orders the views from the pattern table;
+    * pattern table (the build's one Spark job and the driver merge);
+    * `orderMs` orders the views from the pattern table;
     * `diffMs` sums Σ_t |δC_t| over the patterns. Both run on the driver.
     * `patterns` is the number of distinct patterns. An
     * explicit-diff collection holds its stream as given and records all
@@ -97,7 +103,6 @@ object ViewCollection {
 
     val t0  = System.nanoTime()
     val columns = Ebm.columns(graph, views.map(_._2))
-    val ebm = columns.frame(graph.edges.sparkSession)
     val t1  = System.nanoTime()
 
     val patterns = columns.patterns
@@ -119,7 +124,7 @@ object ViewCollection {
         f"[cct] $name%s views=$k%d patterns=${cct.patterns}%d diffs=$total%d " +
         f"ebm=${cct.ebmMs}%d order=${cct.orderMs}%d diff=${cct.diffMs}%d ms")
     ViewCollection(name, order.map(views(_)._1), order, () => DiffStream.deltas(columns, order), k,
-                   total, Some(ebm), cct)
+                   total, Some(columns), cct)
   }
 
   /** Build from a GVDL `create view collection` statement. */

@@ -56,12 +56,6 @@ class GraphGenSpec extends ReproSpec {
     assert(sizes.sliding(2).forall { case Array(a, b) => a >= b; case _ => true })
   }
 
-  test("temporal graph timestamps span the horizon") {
-    val g = GraphGen.temporalGraph(spark, 1000, 5000, horizon = 96)
-    val mm = g.edges.agg(min("ts"), max("ts")).collect()(0)
-    assert(mm.getLong(0) >= 0 && mm.getLong(1) < 96)
-  }
-
   test("bellman-ford example has the paper's edge costs") {
     val g = GraphGen.bellmanFordExample(spark, zChain = 5)
     val m = g.edges.where(col("eid") < 100)

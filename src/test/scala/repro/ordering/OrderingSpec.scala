@@ -19,7 +19,7 @@ class OrderingSpec extends ReproSpec {
         (i.toLong, r.zipWithIndex.filter(_._1).map(_._2).toSeq)
       }.toDF("eid", "ones")
     }
-    Ebm.fromBoolColumns(df, (0 until k).map(j => array_contains(col("ones"), j)))
+    Ebm.fromBoolColumns(df, (0 until k).map(j => array_contains(col("ones"), j))).frame(spark)
   }
 
   /** Random boolean matrix as both a local Seq and a packed EBM frame. */

@@ -6,6 +6,7 @@ import repro.{Oracle, ReproSpec, TestGraphs}
 import repro.diff.EdgeArrangement.Delta
 import repro.graph.{GraphGen, PropertyGraph}
 import repro.gvdl.{Ast, Compiler, Parser}
+import repro.ordering.{CollectionOrderer, Hamming}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -17,7 +18,9 @@ class EbmDiffSpec extends ReproSpec {
     "duration <= 5", "duration <= 12", "duration <= 20",
     "year <= 2013", "year <= 2016 and duration <= 20")
   private lazy val preds = predTexts.map(Parser.parsePredicate)
-  private lazy val ebm = Ebm.compute(graph, preds).localCheckpoint(true)
+  private lazy val columns = Ebm.columns(graph, preds)
+  // The exported frame, for the per-row `EbmReference` oracle.
+  private lazy val ebm = columns.frame(spark)
 
   private def eids(df: DataFrame): Set[Long] = df.select("eid").collect().map(_.getLong(0)).toSet
 
@@ -68,7 +71,7 @@ class EbmDiffSpec extends ReproSpec {
   test("EBM bits follow SQL three-valued logic over nulls and missing endpoints") {
     val g = nullGraph
     val ps = nullTexts.map(Parser.parsePredicate)
-    val m = Ebm.compute(g, ps)
+    val m = Ebm.columns(g, ps).frame(spark)
     val cols = g.resolved.columns.toSeq
     for ((p, j) <- ps.zipWithIndex) {
       val direct = eids(g.resolved.where(Compiler.edgePredicate(p, cols)))
@@ -93,7 +96,7 @@ class EbmDiffSpec extends ReproSpec {
 
   test("difference stream reconstitutes every view (Σ_{s≤t} δC_s = GV_t)") {
     val order = 0 until predTexts.size
-    val ds = DiffStream.deltas(ebm, order)
+    val ds = DiffStream.deltas(columns, order)
     val live = mutable.Set.empty[Long]
     for (t <- order) {
       ds(t).foreach(d => if (d.diff > 0) live += d.eid else live -= d.eid)
@@ -187,7 +190,7 @@ class EbmDiffSpec extends ReproSpec {
   }
 
   test("diff multiplicities are only +1/-1 and first occurrence is +1") {
-    val rows = DiffStream.deltas(ebm, 0 until predTexts.size).flatten
+    val rows = DiffStream.deltas(columns, 0 until predTexts.size).flatten
     assert(rows.nonEmpty && rows.forall(d => math.abs(d.diff) == 1))
     // Positions are in ascending t, and groupBy keeps each edge's rows in order.
     assert(rows.groupBy(_.eid).values.forall(_.head.diff == 1))
@@ -196,7 +199,8 @@ class EbmDiffSpec extends ReproSpec {
   test("countDiffs equals materialized stream length for any order") {
     val order = Seq(3, 0, 4, 1, 2)
     val n = DiffStream.countDiffs(ebm, order)
-    assert(n == DiffStream.deltas(ebm, order).map(_.size).sum)
+    assert(n == DiffStream.count(columns.patterns, order))
+    assert(n == DiffStream.deltas(columns, order).map(_.size).sum)
   }
 
   test("inclusion-chain order yields fewer diffs than a bad order") {
@@ -211,7 +215,7 @@ class EbmDiffSpec extends ReproSpec {
     val df = Seq((1L, 1, 1, 1, 0)).toDF("eid", "a", "b", "c", "d")
     val packed = Ebm.fromBoolColumns(df,
       Seq(col("a") === 1, col("b") === 1, col("c") === 1, col("d") === 1))
-    assert(DiffStream.countDiffs(packed, 0 until 4) == 2)
+    assert(DiffStream.count(packed.patterns, 0 until 4) == 2)
   }
 
   test("Figure 5 example matrix produces the paper's difference stream") {
@@ -284,9 +288,10 @@ class EbmDiffSpec extends ReproSpec {
     }
     val histogram = bits.groupMapReduce(identity)(_ => 1L)(_ + _)
     assert(c.patterns == bits.distinct.map(b => (b, histogram(b))))
-    val back = Ebm.read(c.frame(spark))
-    assert(back.patterns == c.patterns && back.pattern.toSeq == c.pattern.toSeq &&
-           back.eid.toSeq == c.eid.toSeq && back.weight.toSeq == c.weight.toSeq)
+    val framed = c.frame(spark).collect().toSeq
+      .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3), r.getSeq[Long](4)))
+    assert(framed == (0 until c.size).map(i =>
+      (c.eid(i), c.src(i), c.dst(i), c.weight(i), c.bits(c.pattern(i)))))
 
     val byBits = rows.zip(bits).groupMap(_._2) { case (r, _) =>
       (r.getInt(4), atoms.indices.map(a => truth(r, 5 + ps.size + a)))
@@ -312,8 +317,20 @@ class EbmDiffSpec extends ReproSpec {
       val coll = ViewCollection.fromGvdl(communities, removalGvdl, ViewCollection.GraphsurgeOrder)
       assertStreamIsReference(coll)
       val patterns = Ebm.patterns(coll.ebm.get)
+      assert(patterns == coll.columns.get.patterns)
       assert(coll.cct.patterns == patterns.size)
       assert(coll.totalDiffs == DiffStream.count(patterns, coll.order))
     }
+  }
+
+  test("the frame functions read only bits: a bits-only frame gives the columns' figures") {
+    val c = Ebm.columns(communities, removalTexts.map(Parser.parsePredicate))
+    val bitsOnly = c.frame(spark).select("bits")
+    val k = removalTexts.size
+    assert(Ebm.patterns(bitsOnly) == c.patterns)
+    assert(Hamming.distances(bitsOnly, k).map(_.toSeq).toSeq ==
+             Hamming.fromPatterns(c.patterns, k).map(_.toSeq).toSeq)
+    for (order <- Seq(0 until k, CollectionOrderer.randomOrder(k, 3)))
+      assert(DiffStream.countDiffs(bitsOnly, order) == DiffStream.count(c.patterns, order))
   }
 }
