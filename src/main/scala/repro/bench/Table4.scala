@@ -42,8 +42,8 @@ object Table4 {
       "WTC-analog" -> graph((6000 * s).toLong max 300, (45000 * s).toLong max 1000))
     val configs = Seq(("10C5", 10, 5), ("7C4", 7, 4))
     // Untimed: the first timed build (LJ-analog 10C5 Ord.) would otherwise
-    // pay the fresh JVM's warm-up and the first run of its graph's 10C5 EBM
-    // plan, which costs about twice a repeated run.
+    // pay the fresh JVM's warm-up and the one collect of its graph's
+    // resolved rows, which only a graph's first build runs.
     ViewCollection.build(datasets.head._2, "warm-up", views(10, 5), ViewCollection.GraphsurgeOrder)
 
     val out = Seq.newBuilder[String]
@@ -56,7 +56,9 @@ object Table4 {
         "R2" -> ViewCollection.RandomOrder(2),
         "R3" -> ViewCollection.RandomOrder(3))
       // The first build of a predicate set on its graph costs more than the
-      // builds that repeat it, so one build per order would bias Ord.
+      // builds that repeat it (it compiles the atoms' projection, and a
+      // graph's first build collects its resolved rows), so one build per
+      // order would bias Ord.
       val built = strategies.map { case (sn, strat) =>
         val runs = Seq.fill(3)(ViewCollection.build(g, s"$dName-$cName-$sn", vs, strat))
         require(runs.map(_.totalDiffs).distinct.size == 1, s"$dName $cName $sn: #diffs differ")

@@ -1,7 +1,10 @@
 package repro.graph
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.Attribute
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 
 /** Property-graph model (§2 of the paper).
   *
@@ -24,6 +27,7 @@ final case class PropertyGraph(nodes: DataFrame, edges: DataFrame) {
   Seq("eid", "src", "dst").foreach { c =>
     require(edges.columns.contains(c), s"edges must have a `$c` column")
   }
+  require(edges.schema("eid").dataType == LongType, "edges' `eid` must be a long")
 
   /** Node property column names (everything except the id). */
   def nodePropCols: Seq[String] = nodes.columns.toSeq.filterNot(_ == "id")
@@ -34,8 +38,8 @@ final case class PropertyGraph(nodes: DataFrame, edges: DataFrame) {
 
   /** Edges joined with src/dst node properties as `src_*` / `dst_*`.
     *
-    * Built lazily; callers that evaluate many predicates (EBM computation)
-    * should cache the result themselves.
+    * Built lazily, and only planned: the EBM reads [[resolvedRows]], the
+    * driver copy of this frame, so the join runs once per graph.
     */
   lazy val resolved: DataFrame = {
     val srcProps = nodes.select(
@@ -46,6 +50,18 @@ final case class PropertyGraph(nodes: DataFrame, edges: DataFrame) {
       .join(srcProps, edges("src") === srcProps("__sid"), "left")
       .join(dstProps, edges("dst") === dstProps("__did"), "left")
       .drop("__sid", "__did")
+  }
+
+  /** `resolved` on the driver: its analyzed output attributes and its rows
+    * as Catalyst internal rows, in ascending `eid` (a stable sort, so the
+    * order does not depend on partitioning or join strategy). Collected by
+    * one Spark job on first use and held for the graph's life,
+    * O(|E| × row width).
+    */
+  lazy val resolvedRows: (Seq[Attribute], Array[InternalRow]) = {
+    val qe = resolved.queryExecution
+    val eid = qe.analyzed.output.indexWhere(_.name == "eid")
+    (qe.analyzed.output, qe.toRdd.map(_.copy()).collect().sortBy(_.getLong(eid)))
   }
 
   /** Number of edges. */

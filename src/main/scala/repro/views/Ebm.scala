@@ -1,6 +1,9 @@
 package repro.views
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.{Attribute, UnsafeProjection}
+import org.apache.spark.sql.catalyst.plans.logical.Project
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.BooleanType
 import repro.graph.PropertyGraph
@@ -19,28 +22,29 @@ import scala.collection.mutable.ArrayBuilder
   * Distinct atoms in Catalyst, views combined in Kleene logic: every
   * predicate is split into its Boolean skeleton (`and`/`or`/`not`) over
   * leaves — comparisons, bare property refs, literals — and each distinct
-  * leaf of the k predicates (an atom) is projected once per edge as a
-  * compiled Catalyst column, so Spark's coercion, ANSI and null semantics
-  * apply to it unchanged. One `mapPartitions` then evaluates each view's
-  * skeleton over the row's atoms in SQL three-valued logic and sets bit j
-  * iff view j's predicate is TRUE (false and unknown both leave it clear).
-  * Views that share comparisons — ¹⁰C₅ community removal has ~2,500
-  * comparisons over 20 atoms — share their evaluation (multiple-query
-  * optimization), and the embarrassingly parallel pass stays one job.
-  * Rows with equal atom values have equal bits, so within a partition the
-  * skeletons run once per distinct atom vector, not once per row.
+  * leaf of the k predicates (an atom) is analyzed once as a Catalyst
+  * expression and evaluated per edge by a compiled projection, so Spark's
+  * coercion, ANSI and null semantics apply to it unchanged. One driver loop
+  * then evaluates each view's skeleton over the row's atoms in SQL
+  * three-valued logic and sets bit j iff view j's predicate is TRUE (false
+  * and unknown both leave it clear). Views that share comparisons — ¹⁰C₅
+  * community removal has ~2,500 comparisons over 20 atoms — share their
+  * evaluation (multiple-query optimization). Rows with equal atom values
+  * have equal bits, so the skeletons run once per distinct atom vector, not
+  * once per row.
   *
-  * The job returns the EBM to the driver as [[Columns]]: each partition
-  * sends primitive `eid, src, dst, weight` arrays, a pattern id per edge
-  * and its distinct bit patterns, and the driver concatenates them in
-  * partition order and merges the pattern tables by bits. Ordering and the
-  * difference stream depend on a row only through its bits, so they work
-  * from that pattern table, the EBM's distinct rows with their
-  * multiplicities: ¹⁰C₅ community removal on ~9K edges has 56. The
-  * columns are the only EBM a build makes: no `Row` and no DataFrame, and
-  * driver memory stays O(|E| + #patterns·⌈k/64⌉). A DataFrame is only an
-  * export ([[Columns.frame]]), and [[patterns]] reads such a frame's
-  * `bits` back into a pattern table.
+  * The loop reads the graph's resolved rows, which Spark collects once per
+  * graph ([[repro.graph.PropertyGraph.resolvedRows]], ascending `eid`), so
+  * only a graph's first build starts a Spark job. It writes the EBM as
+  * [[Columns]]: primitive `eid, src, dst, weight` arrays, a pattern id per
+  * edge and the distinct bit patterns. Ordering and the difference stream
+  * depend on a row only through its bits, so they work from that pattern
+  * table, the EBM's distinct rows with their multiplicities: ¹⁰C₅
+  * community removal on ~9K edges has 56. The columns are the only EBM a
+  * build makes: no `Row` and no DataFrame, and the collection's memory
+  * stays O(|E| + #patterns·⌈k/64⌉). A DataFrame is only an export
+  * ([[Columns.frame]]), and [[patterns]] reads such a frame's `bits` back
+  * into a pattern table.
   */
 object Ebm {
 
@@ -48,7 +52,7 @@ object Ebm {
   def words(k: Int): Int = (k + 63) / 64
 
   /** A predicate's Boolean skeleton over atom indices. */
-  private sealed trait Skel extends Serializable
+  private sealed trait Skel
   private final case class Atom(i: Int)          extends Skel
   private final case class Conj(l: Skel, r: Skel) extends Skel
   private final case class Disj(l: Skel, r: Skel) extends Skel
@@ -59,16 +63,16 @@ object Ebm {
   private final val T: Byte = 1
   private final val U: Byte = 2
 
-  /** The EBM on the driver, in EBM row order — the order `collect()` gives
-    * for the frame the kernel reads. Edge i is `eid(i), src(i), dst(i)` with
-    * `weight(i)`, and its bits are `bits(pattern(i))`: the pattern table
-    * lists each distinct bit pattern once, in order of first occurrence. It
-    * takes O(|E| + #patterns·⌈k/64⌉) memory, however many views flip each
-    * edge.
+  /** The EBM on the driver, in EBM row order: ascending `eid` for a graph's
+    * EBM, the collected order for [[fromBoolColumns]]. Edge i is `eid(i),
+    * src(i), dst(i)` with `weight(i)`, and its bits are `bits(pattern(i))`:
+    * the pattern table lists each distinct bit pattern once, in order of
+    * first occurrence. It takes O(|E| + #patterns·⌈k/64⌉) memory, however
+    * many views flip each edge.
     */
   final class Columns(val eid: Array[Long], val src: Array[Long], val dst: Array[Long],
                       val weight: Array[Double], val pattern: Array[Int],
-                      val bits: IndexedSeq[Seq[Long]]) extends Serializable {
+                      val bits: IndexedSeq[Seq[Long]]) {
 
     def size: Int = eid.length
 
@@ -92,10 +96,12 @@ object Ebm {
     }
   }
 
-  /** Compute the EBM of `predicates` over `graph` and collect it as driver
-    * columns, in one Spark job. Bit j (word j/64, offset j%64) is view j in
-    * the *given* (pre-ordering) view order. A predicate with a non-Boolean
-    * leaf (`[v: duration]`) is rejected before any Spark job runs.
+  /** Compute the EBM of `predicates` over `graph` as driver columns, in
+    * ascending `eid`, from the graph's [[PropertyGraph.resolvedRows]]: only
+    * a graph's first build runs a Spark job, the one that collects them.
+    * Bit j (word j/64, offset j%64) is view j in the *given* (pre-ordering)
+    * view order. A predicate with a non-Boolean leaf (`[v: duration]`) is
+    * rejected before any Spark job runs.
     */
   def columns(graph: PropertyGraph, predicates: Seq[Ast.Expr]): Columns = {
     val resolved = graph.resolved
@@ -107,26 +113,30 @@ object Ebm {
       case leaf          => Atom(atoms.getOrElseUpdate(leaf, atoms.size))
     }
     val views = predicates.map(split).toIndexedSeq
-    pack(resolved, atoms.keys.toSeq.map(Compiler.edgePredicate(_, resolved.columns.toSeq)), views)
+    pack(resolved, graph.resolvedRows,
+         atoms.keys.toSeq.map(Compiler.edgePredicate(_, resolved.columns.toSeq)), views)
   }
 
-  /** Pack arbitrary boolean columns of `df` into driver EBM columns: view j
-    * is column j. `df` needs an `eid`; without `src`/`dst` columns both
-    * read 0.
+  /** Pack arbitrary boolean columns of `df` into driver EBM columns, in
+    * `df`'s collected order: view j is column j. `df` needs an `eid`;
+    * without `src`/`dst` columns both read 0.
     */
   def fromBoolColumns(df: DataFrame, predicates: Seq[Column]): Columns =
-    pack(df, predicates, predicates.indices.map(Atom(_)))
+    pack(df, (df.queryExecution.analyzed.output, df.queryExecution.toRdd.map(_.copy()).collect()),
+         predicates, predicates.indices.map(Atom(_)))
 
-  /** `df`'s EBM as driver columns, where bit j is set iff `views(j)` is TRUE
-    * over the row's values of `atoms` — the one kernel. One `mapPartitions`
-    * emits each partition's rows as [[Columns]] with pattern ids of its own,
-    * and the driver [[merge]]s them. A missing weight, or a null one, reads
-    * 1.0.
+  /** The EBM of `rows`, `df`'s output and rows on the driver, where bit j is
+    * set iff `views(j)` is TRUE over the row's values of `atoms` — the one
+    * kernel. Spark only analyzes the atoms over `df`; Catalyst's compiled
+    * projection evaluates them row by row on the driver, so their coercion,
+    * null and ANSI semantics are Spark's. `rows` is read after the type
+    * check. A missing weight, or a null one, reads 1.0.
     */
-  private def pack(df: DataFrame, atoms: Seq[Column], views: IndexedSeq[Skel]): Columns = {
+  private def pack(df: DataFrame, rows: => (Seq[Attribute], Array[InternalRow]),
+                   atoms: Seq[Column], views: IndexedSeq[Skel]): Columns = {
     def endpoint(c: String) = (if (df.columns.contains(c)) col(c) else lit(0L)).cast("long")
-    val weight = if (df.columns.contains("weight")) coalesce(col("weight"), lit(1.0)) else lit(1.0)
-    val keep = Seq(col("eid").cast("long"), endpoint("src"), endpoint("dst"), weight.cast("double"))
+    val wt = if (df.columns.contains("weight")) coalesce(col("weight"), lit(1.0)) else lit(1.0)
+    val keep = Seq(col("eid").cast("long"), endpoint("src"), endpoint("dst"), wt.cast("double"))
     val in = df.select(keep ++ atoms.zipWithIndex.map { case (a, i) => a.as(s"__atom$i") }: _*)
     val n = keep.size
     val types = in.schema.fields.drop(n).map(_.dataType)
@@ -139,69 +149,43 @@ object Ebm {
     val k = views.size
     val w = words(k)
     val skels = views.toArray
-    // Catalyst's internal rows: each value is read once, so no Row is built.
-    val parts = in.queryExecution.toRdd.mapPartitions { it =>
-      val part = new PartBuilder
-      val memo = mutable.HashMap.empty[ArraySeq[Byte], Int]
-      val v = new Array[Byte](m)
-      it.foreach { r =>
-        var i = 0
-        while (i < m) {
-          v(i) = if (r.isNullAt(n + i)) U else if (r.getBoolean(n + i)) T else F
-          i += 1
-        }
-        val p = memo.getOrElseUpdate(ArraySeq.unsafeWrapArray(v.clone()), {
-          val b = new Array[Long](w)
-          var j = 0
-          while (j < k) {
-            if (eval(skels(j), v) == T) b(j >> 6) |= 1L << (j & 63)
-            j += 1
-          }
-          part.idOf(ArraySeq.unsafeWrapArray(b))
-        })
-        part.add(r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3), p)
-      }
-      Iterator.single(part.result())
-    }.collect()
-    merge(parts)
-  }
-
-  /** Accumulates EBM rows in order and their distinct bit patterns in
-    * order of first occurrence: one partition's in the kernel, all of them
-    * in [[merge]].
-    */
-  private final class PartBuilder {
-    private val eid, src, dst = new ArrayBuilder.ofLong
-    private val weight = new ArrayBuilder.ofDouble
-    private val pattern = new ArrayBuilder.ofInt
-    private val ids = mutable.HashMap.empty[Seq[Long], Int]
-    private val table = mutable.ArrayBuffer.empty[Seq[Long]]
-
-    /** The id of pattern `bits`, assigned on first sight. */
-    def idOf(bits: Seq[Long]): Int = ids.getOrElseUpdate(bits, { table += bits; table.size - 1 })
-
-    def add(e: Long, s: Long, d: Long, wt: Double, p: Int): Unit = {
-      eid += e; src += s; dst += d; weight += wt; pattern += p
-    }
-
-    def result(): Columns = new Columns(eid.result(), src.result(), dst.result(), weight.result(),
-                                       pattern.result(), table.toIndexedSeq)
-  }
-
-  /** Concatenate partitions in order, remapping each one's pattern ids
-    * through the merged table.
-    */
-  private def merge(parts: Array[Columns]): Columns = {
-    val all = new PartBuilder
-    for (p <- parts) {
-      val global = p.bits.map(all.idOf)
+    val Project(projectList, _) = (in.queryExecution.analyzed: @unchecked)
+    val (output, data) = rows
+    val proj = UnsafeProjection.create(projectList, output)
+    val eid, src, dst = new ArrayBuilder.ofLong
+    val weight = new ArrayBuilder.ofDouble
+    val pattern = new ArrayBuilder.ofInt
+    // The distinct bit patterns in order of first occurrence, and their ids.
+    val table = mutable.ArrayBuffer.empty[Seq[Long]]
+    val ids = mutable.HashMap.empty[Seq[Long], Int]
+    // Memo key: the row's atom values, 2 bits an atom (F, T, U) in longs.
+    val memo = mutable.HashMap.empty[ArraySeq[Long], Int]
+    val v = new Array[Long]((m + 31) / 32)
+    data.iterator.map(proj).foreach { r =>
+      java.util.Arrays.fill(v, 0L)
       var i = 0
-      while (i < p.size) {
-        all.add(p.eid(i), p.src(i), p.dst(i), p.weight(i), global(p.pattern(i)))
+      while (i < m) {
+        val a = if (r.isNullAt(n + i)) U else if (r.getBoolean(n + i)) T else F
+        v(i >> 5) |= a.toLong << ((i & 31) << 1)
         i += 1
       }
+      val p = memo.getOrElse(ArraySeq.unsafeWrapArray(v), {
+        val b = new Array[Long](w)
+        var j = 0
+        while (j < k) {
+          if (eval(skels(j), v) == T) b(j >> 6) |= 1L << (j & 63)
+          j += 1
+        }
+        val bits = ArraySeq.unsafeWrapArray(b)
+        val id = ids.getOrElseUpdate(bits, { table += bits; table.size - 1 })
+        memo(ArraySeq.unsafeWrapArray(v.clone())) = id
+        id
+      })
+      eid += r.getLong(0); src += r.getLong(1); dst += r.getLong(2); weight += r.getDouble(3)
+      pattern += p
     }
-    all.result()
+    new Columns(eid.result(), src.result(), dst.result(), weight.result(), pattern.result(),
+                table.toIndexedSeq)
   }
 
   private def atomsOf(s: Skel): Seq[Int] = s match {
@@ -211,11 +195,12 @@ object Ebm {
     case Neg(x)     => atomsOf(x)
   }
 
-  /** Kleene evaluation of a skeleton over atom values `v`: FALSE dominates a
-    * conjunction and TRUE a disjunction, otherwise unknown is contagious.
+  /** Kleene evaluation of a skeleton over atom values `v`, 2 bits an atom:
+    * FALSE dominates a conjunction and TRUE a disjunction, otherwise
+    * unknown is contagious.
     */
-  private def eval(s: Skel, v: Array[Byte]): Byte = s match {
-    case Atom(i) => v(i)
+  private def eval(s: Skel, v: Array[Long]): Byte = s match {
+    case Atom(i) => ((v(i >> 5) >>> ((i & 31) << 1)) & 3L).toByte
     case Conj(l, r) =>
       val a = eval(l, v)
       if (a == F) F else { val b = eval(r, v); if (b == F || a == T) b else U }

@@ -68,8 +68,9 @@ final case class ViewCollection(
 object ViewCollection {
 
   /** CCT breakdown, milliseconds. For a collection built from predicates:
-    * `ebmMs` computes the EBM and collects it as driver columns with its
-    * pattern table (the build's one Spark job and the driver merge);
+    * `ebmMs` computes the EBM as driver columns with its pattern table from
+    * the graph's resolved rows, including the Spark job that collects them
+    * on the graph's first build (the edge–node join) and not after;
     * `orderMs` orders the views from the pattern table;
     * `diffMs` sums Σ_t |δC_t| over the patterns. Both run on the driver.
     * `patterns` is the number of distinct patterns. An
@@ -89,11 +90,11 @@ object ViewCollection {
   /** Seeded random order (Table 4 baseline). */
   final case class RandomOrder(seed: Long) extends OrderStrategy
 
-  /** Build a collection from named predicates (§3.2 steps 1–3) in one
-    * Spark job, which computes the EBM and collects it as driver columns
-    * with its pattern table. The ordering and Σ_t |δC_t| run on the driver
-    * once per distinct pattern; the stream is expanded only when `deltas`
-    * is read.
+  /** Build a collection from named predicates (§3.2 steps 1–3) on the
+    * driver: the EBM is computed as driver columns with its pattern table
+    * from the graph's resolved rows, which only a graph's first build
+    * collects, in one Spark job. The ordering and Σ_t |δC_t| run once per
+    * distinct pattern; the stream is expanded only when `deltas` is read.
     */
   def build(graph: PropertyGraph, name: String,
             views: Seq[(String, Ast.Expr)],

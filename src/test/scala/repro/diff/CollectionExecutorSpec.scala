@@ -68,16 +68,32 @@ class CollectionExecutorSpec extends ReproSpec {
     } finally sc.removeSparkListener(counter)
   }
 
-  test("a GVDL build of 34 views runs one Spark job: the EBM, collected as driver columns") {
+  test("a GVDL build runs one Spark job on a fresh graph and none after") {
+    // The one job collects the graph's resolved rows; later builds read them.
     val g = repro.graph.GraphGen.callGraph(spark, nV = 60, nE = 300)
     val gvdl = (1 to 34).map(d => s"[D$d: duration <= $d]")
       .mkString("create view collection chain on Calls ", ", ", "")
+    val (first, firstJobs) = withJobCount(repro.views.ViewCollection.fromGvdl(g, gvdl))
+    assert(first.numViews == 34)
+    assert(firstJobs == 1, s"$firstJobs Spark jobs for a fresh graph's first 34-view build")
     for (strategy <- Seq(repro.views.ViewCollection.GivenOrder,
                          repro.views.ViewCollection.GraphsurgeOrder)) {
       val (coll, jobs) = withJobCount(repro.views.ViewCollection.fromGvdl(g, gvdl, strategy))
       assert(coll.numViews == 34)
-      assert(jobs == 1, s"$jobs Spark jobs for a 34-view build ($strategy)")
+      assert(jobs == 0, s"$jobs Spark jobs for a later 34-view build ($strategy)")
     }
+  }
+
+  test("a rejected non-Boolean view starts no Spark job") {
+    val g = repro.graph.GraphGen.callGraph(spark, nV = 60, nE = 300)
+    val (_, jobs) = withJobCount(intercept[IllegalArgumentException](
+      repro.views.ViewCollection.fromGvdl(g,
+        "create view collection c on Calls [a: duration <= 5], [v: duration]")))
+    assert(jobs == 0, s"$jobs Spark jobs before the rejection")
+    // The graph's rows were not collected either: the next build collects them.
+    val (_, next) = withJobCount(repro.views.ViewCollection.fromGvdl(g,
+      "create view collection c on Calls [a: duration <= 5]"))
+    assert(next == 1, s"$next Spark jobs for the first accepted build")
   }
 
   test("a collection run's Spark jobs do not grow with its number of views") {

@@ -238,15 +238,18 @@ class EbmDiffSpec extends ReproSpec {
     assert(diffs == expected)
   }
 
-  /** `body` with `n` shuffle partitions, so `resolved` and the EBM kernel
-    * read `n` partitions.
-    */
-  private def withShufflePartitions[A](n: Int)(body: => A): A = {
-    val key = "spark.sql.shuffle.partitions"
+  /** `body` with the session's `key` set to `value`. */
+  private def withConf[A](key: String, value: String)(body: => A): A = {
     val old = spark.conf.get(key)
-    spark.conf.set(key, n.toString)
+    spark.conf.set(key, value)
     try body finally spark.conf.set(key, old)
   }
+
+  /** `body` with `n` shuffle partitions, so `resolved` reads `n` partitions
+    * when it is collected; the EBM kernel itself reads no partitions.
+    */
+  private def withShufflePartitions[A](n: Int)(body: => A): A =
+    withConf("spark.sql.shuffle.partitions", n.toString)(body)
 
   private def leaves(e: Ast.Expr): Seq[Ast.Expr] = e match {
     case Ast.And(l, r) => leaves(l) ++ leaves(r)
@@ -256,8 +259,9 @@ class EbmDiffSpec extends ReproSpec {
   }
 
   /** `Ebm.columns` against the frame path: `resolved` with every view and
-    * atom as a Catalyst column, collected, and bits set on the driver where
-    * a view is TRUE. The columns hold the frame's rows in its order, every
+    * atom as a Catalyst column, collected, ordered by `eid` (the EBM order),
+    * and bits set on the driver where a view is TRUE. The columns hold the
+    * frame's rows in that order, every
     * edge's pattern id names its bits, and the pattern table lists the
     * frame's distinct bits in order of first occurrence with their counts.
     * Returns the frame path's partition count and whether two partitions
@@ -271,7 +275,7 @@ class EbmDiffSpec extends ReproSpec {
     val rows = g.resolved.select(
       Seq(col("eid").cast("long"), col("src").cast("long"), col("dst").cast("long"),
           weight.cast("double"), spark_partition_id()) ++
-      (ps ++ atoms).map(Compiler.edgePredicate(_, cols)): _*).collect().toSeq
+      (ps ++ atoms).map(Compiler.edgePredicate(_, cols)): _*).collect().toSeq.sortBy(_.getLong(0))
     def truth(r: org.apache.spark.sql.Row, i: Int): Option[Boolean] =
       if (r.isNullAt(i)) None else Some(r.getBoolean(i))
     val bits = rows.map { r =>
@@ -310,6 +314,28 @@ class EbmDiffSpec extends ReproSpec {
       val (parts, crossed) = assertColumnsAreFramePath(communities, removalTexts)
       assert(parts >= 4 && crossed, s"$parts partitions; crossed = $crossed")
     }
+  }
+
+  test("Ebm.columns is the same in ascending eid under any partitioning and join") {
+    val ps = removalTexts.map(Parser.parsePredicate)
+    def fresh(): Ebm.Columns = Ebm.columns(PropertyGraph(communities.nodes, communities.edges), ps)
+    def flat(c: Ebm.Columns) = (0 until c.size).map(i =>
+      (c.eid(i), c.src(i), c.dst(i), c.weight(i), c.bits(c.pattern(i))))
+    val runs = for (parts <- Seq(5, 64); broadcast <- Seq("-1", "10485760")) yield
+      withShufflePartitions(parts) {
+        withConf("spark.sql.autoBroadcastJoinThreshold", broadcast) {
+          val (a, b) = (fresh(), fresh())
+          assert(a.eid.toSeq == b.eid.toSeq && a.pattern.toSeq == b.pattern.toSeq &&
+                   a.bits == b.bits && flat(a) == flat(b), s"$parts partitions, broadcast $broadcast")
+          a
+        }
+      }
+    val want = runs.head
+    assert(want.size == communities.edges.count())
+    assert(want.eid.toSeq == want.eid.toSeq.sorted && want.eid.distinct.length == want.size)
+    for (c <- runs.tail)
+      assert(c.eid.toSeq == want.eid.toSeq && c.pattern.toSeq == want.pattern.toSeq &&
+               c.bits == want.bits && flat(c) == flat(want))
   }
 
   test("a GVDL collection read over five partitions keeps one pattern table") {
