@@ -1,8 +1,8 @@
 package repro.algorithms
 
 import repro.diff.{Analytic, EdgeArrangement, Trace, VertexIndex}
-import repro.diff.EdgeArrangement.Delta
 import repro.diff.Engine.RunResult
+import repro.views.DiffStream.Slice
 
 /** Strongly connected components, on the driver over the collection loop's
   * [[EdgeArrangement]].
@@ -44,7 +44,7 @@ object Scc extends Analytic {
   /** @param delta the view's difference set; its deletions decide which of
     *              `prev`'s SCCs break
     */
-  def advance(edges: EdgeArrangement, delta: Seq[Delta], prev: RunResult): RunResult = {
+  def advance(edges: EdgeArrangement, delta: Slice, prev: RunResult): RunResult = {
     val index = edges.index
     val n = index.size
     val scc = prev.valuesOn(index, _.toDouble) // a vertex new to the run is a singleton
@@ -56,8 +56,8 @@ object Scc extends Analytic {
       rep(v) = if (r >= 0) r else v
     }
     val broken = new Array[Boolean](n)
-    for (d <- delta if d.diff < 0 && d.src != d.dst) {
-      val (s, t) = (index.find(d.src), index.find(d.dst))
+    for (k <- 0 until delta.size if delta.diff(k) < 0 && delta.src(k) != delta.dst(k)) {
+      val (s, t) = (index.find(delta.src(k)), index.find(delta.dst(k)))
       if (s >= 0 && t >= 0 && rep(s) == rep(t)) broken(rep(s)) = true
     }
     condense(edges, Array.tabulate(n)(v => if (broken(rep(v))) v else rep(v)))

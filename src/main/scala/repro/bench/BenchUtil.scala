@@ -2,9 +2,9 @@ package repro.bench
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.diff.EdgeArrangement.Delta
 import repro.graph.GraphGen
 import repro.views.ViewCollection
+import repro.views.ViewCollection.Delta
 
 /** Shared plumbing for the table harnesses. */
 object BenchUtil {
@@ -28,11 +28,11 @@ object BenchUtil {
     * current edges that come first in ascending `GraphGen.hash(eid, seed + v)`
     * and adds `addN` fresh edges: the i-th has eid `1000000·v + seed·10⁸ + i`
     * and endpoints drawn over `nV` vertices by `GraphGen.huOf(i, seed + 31v)`
-    * and `huOf(i, seed + 37v)`; self-loops are dropped. Within a view the
-    * additions come before the deletions. The draws are Spark's `xxhash64`,
-    * so the collection does not depend on how `edges` is partitioned. The
-    * collection holds its stream on the driver; `spark` is not read and
-    * stays in the signature for existing callers.
+    * and `huOf(i, seed + 37v)`; self-loops are dropped. The draws are
+    * Spark's `xxhash64`, so the collection does not depend on how `edges`
+    * is partitioned. The stream is packed into driver columns
+    * ([[ViewCollection.fromExplicitDiffs]]); `spark` is not read and stays
+    * in the signature for existing callers.
     */
   def perturbationCollection(spark: SparkSession, name: String, edges: DataFrame,
                              nV: Long, views: Int, addN: Int, delN: Int,

@@ -1,6 +1,6 @@
 package repro.diff
 
-import EdgeArrangement.Delta
+import repro.views.DiffStream.Slice
 import Engine.RunResult
 
 /** An analytic the collection loop ([[CollectionExecutor]]) can run on a
@@ -21,9 +21,9 @@ trait Analytic {
 
   def fromScratch(vertices: Array[Long], edges: EdgeArrangement): RunResult
 
-  /** @param delta the view's difference set, already applied to `edges`
+  /** @param delta the view's difference set (EBM rows), applied to `edges`
     * @param prev  the previous view's result; a vertex program's must come
     *              from the same arrangement, whose dense ids it holds
     */
-  def advance(edges: EdgeArrangement, delta: Seq[Delta], prev: RunResult): RunResult
+  def advance(edges: EdgeArrangement, delta: Slice, prev: RunResult): RunResult
 }

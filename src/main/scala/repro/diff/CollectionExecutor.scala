@@ -13,14 +13,11 @@ import Engine._
   * to [[SplittingOptimizer]]; a scratch run replaces the stored trace,
   * which is exactly a collection split.
   *
-  * The loop reads the difference stream once ([[ViewCollection.deltas]])
-  * and keeps one [[EdgeArrangement]] of the current view's edges E_t on the
-  * driver, built from δ_0 and advanced by each view's δ, so edge maintenance
-  * costs O(|δ|) per view. A run issues one Spark job however many views it
-  * has, the vertex ids: a collection built from predicates expands its
-  * stream from its EBM's driver columns, and an explicit one holds its
-  * stream, so reading either issues none. Every analytic, SCC included,
-  * runs on the driver over the arrangement and issues none.
+  * The loop reads each view's δ once, a slice of the collection's EBM rows
+  * ([[ViewCollection.delta]]), and advances one driver [[EdgeArrangement]]
+  * of E_t by it: O(|δ|) edge maintenance per view. A run issues one Spark
+  * job, for the vertex ids, however many views it has; reading slices and
+  * every analytic, SCC included, issue none.
   */
 object CollectionExecutor {
 
@@ -37,8 +34,8 @@ object CollectionExecutor {
     * @param millis         the analytic's run time, whole milliseconds
     * @param viewEdges      |E_t| as a multiset of directed edges
     * @param maintainMillis edge maintenance: applying δ to the arrangement
-    *                       (view 0's includes the run's one stream read and
-    *                       the vertex index)
+    *                       (view 0's includes the vertex index and, on a
+    *                       collection's first run, grouping its rows)
     * @param stop           why the view's run ended (see [[Engine.Stop]])
     * @param nanos          the analytic's run time, nanoseconds
     */
@@ -72,7 +69,6 @@ object CollectionExecutor {
     val vid = vertices.schema.fieldIndex("vid")
     val verts = vertices.rdd.map(_.getLong(vid)).collect()
     val start = System.nanoTime()
-    val deltas = collection.deltas()
     val edges = new EdgeArrangement(verts)
     var state: RunResult = null
     val stats = Seq.newBuilder[ViewStat]
@@ -80,7 +76,7 @@ object CollectionExecutor {
 
     for (t <- 0 until collection.numViews) {
       val m0 = if (t == 0) start else System.nanoTime()
-      val delta = deltas(t)
+      val delta = collection.delta(t)
       edges.update(delta)
       val maintainMs = (System.nanoTime() - m0) / 1000000
 

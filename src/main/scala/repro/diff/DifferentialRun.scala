@@ -1,7 +1,7 @@
 package repro.diff
 
+import repro.views.DiffStream
 import scala.collection.mutable.ArrayBuilder
-import EdgeArrangement.Delta
 import Engine._
 import VertexProgram.neq
 
@@ -66,16 +66,16 @@ object DifferentialRun {
   /** Advance `prev`, a run on the same arrangement, by the view's
     * difference set `delta`, already applied to `edges`.
     */
-  def run(program: VertexProgram, edges: EdgeArrangement, delta: Seq[Delta],
+  def run(program: VertexProgram, edges: EdgeArrangement, delta: DiffStream.Slice,
           prev: RunResult): RunResult = {
-    if (delta.isEmpty)
+    if (delta.size == 0)
       return prev.copy(iterations = 0, workRows = 0L, iterStats = Nil, stop = None)
     require(prev.index eq edges.index, "a replay continues a run on the same arrangement")
 
     // The changed edges' endpoints, mirrored as the program reads edges.
     val inW = new Array[Boolean](edges.index.size)
-    delta.foreach { d =>
-      val (s, t) = (edges.index.find(d.src), edges.index.find(d.dst))
+    for (k <- 0 until delta.size) {
+      val (s, t) = (edges.index.find(delta.src(k)), edges.index.find(delta.dst(k)))
       for ((src, dst) <- if (program.undirected) Seq(s -> t, t -> s) else Seq(s -> t)) {
         inW(dst) = true
         if (program.degreeDependent) edges.eachOut(src, program.undirected)(inW(_) = true)
@@ -180,12 +180,7 @@ object DifferentialRun {
 
   /** The slots of `ids` grouped by id, each id's in insertion order. */
   private def group(ids: Array[Int], n: Int): Int => Array[Int] = {
-    val start = new Array[Int](n + 1)
-    for (k <- ids.indices) start(ids(k) + 1) += 1
-    for (v <- 0 until n) start(v + 1) += start(v)
-    val fill = start.clone()
-    val slots = new Array[Int](ids.length)
-    for (k <- ids.indices) { slots(fill(ids(k))) = k; fill(ids(k)) += 1 }
+    val (start, slots) = DiffStream.group(ids, n)
     v => slots.slice(start(v), start(v + 1))
   }
 }

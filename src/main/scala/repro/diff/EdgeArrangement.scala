@@ -1,5 +1,6 @@
 package repro.diff
 
+import repro.views.DiffStream
 import scala.collection.mutable
 
 /** Dense `Int` ids for vertex ids, in order of first sight. Every
@@ -27,22 +28,18 @@ final class VertexIndex {
 }
 
 /** The current view's edges, arranged on the driver: per vertex its
-  * in-edges and out-edges, kept up to date by applying each view's
-  * difference set (driver rows, from `ViewCollection.deltas`). It is DD's
-  * shared arrangement of the edge collection
-  * (McSherry et al., "Shared Arrangements", VLDB 2020) as a single Timely
-  * worker holds it: every analytic of every view reads it, and advancing to
-  * the next view costs O(|δ|), not O(|E|).
-  *
-  * Vertices are the dense ids of [[index]]: `universe` first, then any
-  * other endpoint when it first appears. A vertex's list in each direction
-  * holds the far ends' ids and the weights in two primitive arrays, 12
-  * bytes an edge a direction (up to twice that with spare capacity); an
-  * eid map holds each edge's addition row. Parallel edges stay a multiset,
-  * and a deletion removes one copy of the edge it names. Reads take the
-  * program's direction: an undirected program sees every edge mirrored (a
-  * self-loop twice), and a vertex's out-degree is counted over the edges
-  * it sees. Nothing is stored per program.
+  * in-edges and out-edges, advanced by each view's difference set, a slice
+  * of the collection's EBM rows (`ViewCollection.delta`). It is DD's shared
+  * arrangement (McSherry et al., "Shared Arrangements", VLDB 2020) as one
+  * Timely worker holds it: every analytic of every view reads it, and a
+  * view's advance costs O(|δ|). Vertices are the dense ids of [[index]]:
+  * `universe` first, then other endpoints as they appear. A vertex's list
+  * in each direction holds the far ends' ids and the weights in two
+  * primitive arrays, 12 bytes an edge a direction (up to twice that with
+  * spare capacity), and nothing else is kept per edge: a deletion reads its
+  * edge from the columns and removes one copy, so parallel edges stay a
+  * multiset. An undirected program sees every edge mirrored (a self-loop
+  * twice) and out-degrees over what it sees; nothing is stored per program.
   */
 final class EdgeArrangement(universe: Array[Long] = Array.emptyLongArray) {
   import EdgeArrangement._
@@ -50,33 +47,26 @@ final class EdgeArrangement(universe: Array[Long] = Array.emptyLongArray) {
   val index = new VertexIndex
   universe.foreach(index.add)
 
-  private val byEid = mutable.LongMap.empty[Delta]
   private val ins   = new Lists
   private val outs  = new Lists
+  private var edges = 0L
 
   /** |E_t| counted as a multiset of directed edges. */
-  def size: Long = byEid.size.toLong
+  def size: Long = edges
 
-  /** The arranged edges, as their addition rows. */
-  def edges: Iterator[Delta] = byEid.valuesIterator
-
-  /** Apply a difference set: deletions (`diff < 0`) first, then additions.
-    * Deleting an absent eid or adding a present one is an error.
-    */
-  def update(delta: Iterable[Delta]): Unit = {
-    delta.iterator.filter(_.diff < 0).foreach { d =>
-      val e = byEid.remove(d.eid).getOrElse(
-        throw new IllegalArgumentException(s"deletion of edge ${d.eid}, which the view lacks"))
-      val (s, t) = (index.find(e.src), index.find(e.dst))
-      ins(t).remove(s, e.weight)
-      outs(s).remove(t, e.weight)
+  /** Apply a difference set, deletions first; a deletion names an arranged edge. */
+  def update(delta: DiffStream.Slice): Unit = {
+    for (k <- 0 until delta.size if delta.diff(k) < 0) {
+      val (s, t) = (index.find(delta.src(k)), index.find(delta.dst(k)))
+      ins(t).remove(s, delta.weight(k))
+      outs(s).remove(t, delta.weight(k))
+      edges -= 1
     }
-    delta.iterator.filter(_.diff > 0).foreach { d =>
-      require(!byEid.contains(d.eid), s"addition of edge ${d.eid}, which the view has")
-      byEid(d.eid) = d
-      val (s, t) = (index.add(d.src), index.add(d.dst))
-      ins.at(t).add(s, d.weight)
-      outs.at(s).add(t, d.weight)
+    for (k <- 0 until delta.size if delta.diff(k) > 0) {
+      val (s, t) = (index.add(delta.src(k)), index.add(delta.dst(k)))
+      ins.at(t).add(s, delta.weight(k))
+      outs.at(s).add(t, delta.weight(k))
+      edges += 1
     }
   }
 
@@ -99,11 +89,6 @@ final class EdgeArrangement(universe: Array[Long] = Array.emptyLongArray) {
 }
 
 object EdgeArrangement {
-
-  /** One row of a difference set: `diff` is +1 for an addition, −1 for a
-    * deletion. An arranged edge is its addition row.
-    */
-  final case class Delta(eid: Long, src: Long, dst: Long, weight: Double, diff: Int)
 
   /** One vertex's edges in one direction: the far ends' dense ids and the
     * weights, in the first `size` slots of two parallel arrays.

@@ -1,6 +1,6 @@
 package repro.diff
 
-import EdgeArrangement.Delta
+import repro.views.DiffStream.Slice
 import Engine.RunResult
 
 /** An iterative graph analytics program in Jacobi vertex-centric form —
@@ -83,7 +83,7 @@ trait VertexProgram extends Analytic {
   final def fromScratch(vertices: Array[Long], edges: EdgeArrangement): RunResult =
     DifferentialRun.fromScratch(this, vertices, edges)
 
-  final def advance(edges: EdgeArrangement, delta: Seq[Delta], prev: RunResult): RunResult =
+  final def advance(edges: EdgeArrangement, delta: Slice, prev: RunResult): RunResult =
     DifferentialRun.run(this, edges, delta, prev)
 }
 

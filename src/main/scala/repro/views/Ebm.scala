@@ -36,15 +36,13 @@ import scala.collection.mutable.ArrayBuilder
   * The loop reads the graph's resolved rows, which Spark collects once per
   * graph ([[repro.graph.PropertyGraph.resolvedRows]], ascending `eid`), so
   * only a graph's first build starts a Spark job. It writes the EBM as
-  * [[Columns]]: primitive `eid, src, dst, weight` arrays, a pattern id per
-  * edge and the distinct bit patterns. Ordering and the difference stream
-  * depend on a row only through its bits, so they work from that pattern
-  * table, the EBM's distinct rows with their multiplicities: ¹⁰C₅
-  * community removal on ~9K edges has 56. The columns are the only EBM a
-  * build makes: no `Row` and no DataFrame, and the collection's memory
-  * stays O(|E| + #patterns·⌈k/64⌉). A DataFrame is only an export
-  * ([[Columns.frame]]), and [[patterns]] reads such a frame's `bits` back
-  * into a pattern table.
+  * [[Columns]], the only EBM a build makes (no `Row`, no DataFrame):
+  * primitive `eid, src, dst, weight` arrays, a pattern id per edge and the
+  * distinct bit patterns, O(|E| + #patterns·⌈k/64⌉). Ordering and the
+  * stream depend on a row only through its bits, so they work from that
+  * pattern table (¹⁰C₅ community removal on ~9K edges has 56 patterns). A
+  * DataFrame is only an export ([[Columns.frame]]); [[patterns]] reads
+  * such a frame's `bits` back into a pattern table.
   */
 object Ebm {
 
@@ -64,11 +62,11 @@ object Ebm {
   private final val U: Byte = 2
 
   /** The EBM on the driver, in EBM row order: ascending `eid` for a graph's
-    * EBM, the collected order for [[fromBoolColumns]]. Edge i is `eid(i),
-    * src(i), dst(i)` with `weight(i)`, and its bits are `bits(pattern(i))`:
-    * the pattern table lists each distinct bit pattern once, in order of
-    * first occurrence. It takes O(|E| + #patterns·⌈k/64⌉) memory, however
-    * many views flip each edge.
+    * EBM, the collected order for [[fromBoolColumns]], stream order for an
+    * explicit collection ([[ViewCollection.fromExplicitDiffs]]). Edge i is
+    * `eid(i), src(i), dst(i)` with `weight(i)`, and its bits are
+    * `bits(pattern(i))`: the pattern table lists each distinct bit pattern
+    * once, in order of first occurrence.
     */
   final class Columns(val eid: Array[Long], val src: Array[Long], val dst: Array[Long],
                       val weight: Array[Double], val pattern: Array[Int],
@@ -76,22 +74,19 @@ object Ebm {
 
     def size: Int = eid.length
 
-    /** Each distinct bit pattern with the number of edges that have it,
-      * indexed by pattern id.
-      */
+    /** Each distinct bit pattern with its number of edges, by pattern id. */
     lazy val patterns: IndexedSeq[(Seq[Long], Long)] = {
       val counts = new Array[Long](bits.size)
       pattern.foreach(p => counts(p) += 1)
       bits.zip(counts)
     }
 
-    /** These rows exported as the EBM frame `eid, src, dst, weight,
-      * bits: array<long>`, in their order, as a local frame: building it
-      * starts no job. Nothing in a build calls it.
+    /** The rows that satisfy `keep` as a local EBM frame `eid, src, dst,
+      * weight, bits: array<long>`, in their order; it starts no job.
       */
-    def frame(spark: SparkSession): DataFrame = {
+    def frame(spark: SparkSession, keep: Int => Boolean = _ => true): DataFrame = {
       import spark.implicits._
-      (0 until size).map(i => (eid(i), src(i), dst(i), weight(i), bits(pattern(i))))
+      (0 until size).filter(keep).map(i => (eid(i), src(i), dst(i), weight(i), bits(pattern(i))))
         .toDF("eid", "src", "dst", "weight", "bits")
     }
   }

@@ -1,81 +1,63 @@
 package repro.views
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.diff.EdgeArrangement
-import repro.diff.EdgeArrangement.Delta
 import repro.graph.PropertyGraph
 import repro.gvdl.{Ast, Parser}
 import repro.ordering.{CollectionOrderer, Hamming}
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
 
 /** A view collection (§3.2): views organized as a single timestamped
-  * edge-difference stream, which the collection hands out on the driver.
-  *
-  * A collection built from predicates keeps its EBM on the driver as
-  * columns ([[Ebm.Columns]]: `eid, src, dst, weight` and a pattern id per
-  * edge, plus the pattern table), O(|E| + #patterns·⌈k/64⌉) memory for the
-  * collection's life, and its stream factorized: `totalDiffs` and the
-  * ordering come from the pattern table, and each call of `deltas` expands
-  * the stream from the columns ([[DiffStream.deltas]]) with no Spark
-  * planning. The build makes no `Row` and no DataFrame; `ebm` exports the
-  * columns as a frame on its first read.
+  * edge-difference stream on the driver. Every collection is its EBM as
+  * driver columns ([[Ebm.Columns]]), O(|E| + #patterns·⌈k/64⌉) for its
+  * life: `totalDiffs` and the ordering come from the pattern table, and
+  * δC_t is read a position at a time as a slice of rows ([[delta]]) with no
+  * Spark planning. `ebm` exports the columns as a frame on its first read.
   *
   * @param name        collection name
   * @param viewNames   view names in *execution* order (after ordering)
   * @param order       σ: execution position → original view index
-  * @param deltas      the difference stream on the driver: `deltas()(t)`
-  *                    is δC_t (empty where view t equals view t−1). Built
-  *                    from predicates, each call expands the EBM's driver
-  *                    columns and nothing is kept between calls; an
-  *                    explicit stream is held as given. Neither runs a
-  *                    Spark job
   * @param numViews    k
-  * @param totalDiffs  Σ_t |δC_t| (the COP objective value of `order`),
-  *                    summed over bit patterns when built from predicates
-  * @param columns     the packed edge boolean matrix as driver columns,
-  *                    when built from predicates (absent for explicit-diff
-  *                    collections)
+  * @param totalDiffs  Σ_t |δC_t| (the COP objective value of `order`)
+  * @param columns     the packed edge boolean matrix as driver columns
   * @param cct         collection creation time breakdown, milliseconds
   */
 final case class ViewCollection(
     name: String,
     viewNames: Seq[String],
     order: Seq[Int],
-    deltas: () => IndexedSeq[Seq[Delta]],
     numViews: Int,
     totalDiffs: Long,
-    columns: Option[Ebm.Columns],
+    columns: Ebm.Columns,
     cct: ViewCollection.Cct) {
 
-  /** `columns` exported as a local EBM frame in the active session
-    * ([[Ebm.Columns.frame]]), built on first read.
-    */
-  lazy val ebm: Option[DataFrame] = columns.map(_.frame(SparkSession.active))
+  /** `columns` as a local EBM frame ([[Ebm.Columns.frame]]), built on first read. */
+  lazy val ebm: Option[DataFrame] = Some(columns.frame(SparkSession.active))
 
-  /** The view at execution position t, Σ_{s<=t} δC_s, folded through an
-    * [[repro.diff.EdgeArrangement]] from one read of `deltas`, with its
-    * checks on absent deletions and duplicate additions. A local frame
-    * `eid, src, dst, weight` in the active session.
+  // Built on the first read of a slice, not by the build.
+  private lazy val stream = DiffStream.reader(columns, order.toIndexedSeq)
+
+  /** δC_t, the difference set of execution position t (empty where view t
+    * equals view t−1): a slice of `columns`' rows ([[DiffStream.reader]]).
+    */
+  def delta(t: Int): DiffStream.Slice = stream(t)
+
+  /** The view at execution position t, the rows whose bit `order(t)` is
+    * set, as a local frame `eid, src, dst, weight`.
     */
   def viewEdges(t: Int): DataFrame = {
-    val view = new EdgeArrangement
-    deltas().take(t + 1).foreach(view.update)
-    val spark = SparkSession.active
-    import spark.implicits._
-    view.edges.toSeq.map(d => (d.eid, d.src, d.dst, d.weight)).toDF("eid", "src", "dst", "weight")
+    val in = columns.bits.map(Ebm.isSet(_, order(t)))
+    columns.frame(SparkSession.active, i => in(columns.pattern(i))).drop("bits")
   }
 }
 
 object ViewCollection {
 
-  /** CCT breakdown, milliseconds. For a collection built from predicates:
-    * `ebmMs` computes the EBM as driver columns with its pattern table from
-    * the graph's resolved rows, including the Spark job that collects them
-    * on the graph's first build (the edge–node join) and not after;
-    * `orderMs` orders the views from the pattern table;
-    * `diffMs` sums Σ_t |δC_t| over the patterns. Both run on the driver.
-    * `patterns` is the number of distinct patterns. An
-    * explicit-diff collection holds its stream as given and records all
-    * three as 0.
+  /** CCT breakdown, milliseconds. From predicates: `ebmMs` computes the
+    * EBM columns and pattern table (with the Spark job that collects the
+    * graph's resolved rows on its first build); `orderMs` orders the views
+    * and `diffMs` sums Σ_t |δC_t| over the `patterns` patterns on the
+    * driver. An explicit collection's `ebmMs` packs its stream; the rest are 0.
     */
   final case class Cct(ebmMs: Long, orderMs: Long, diffMs: Long, patterns: Long = 0) {
     def totalMs: Long = ebmMs + orderMs + diffMs
@@ -91,10 +73,9 @@ object ViewCollection {
   final case class RandomOrder(seed: Long) extends OrderStrategy
 
   /** Build a collection from named predicates (§3.2 steps 1–3) on the
-    * driver: the EBM is computed as driver columns with its pattern table
-    * from the graph's resolved rows, which only a graph's first build
-    * collects, in one Spark job. The ordering and Σ_t |δC_t| run once per
-    * distinct pattern; the stream is expanded only when `deltas` is read.
+    * driver: the EBM as columns from the graph's resolved rows (a Spark job
+    * on the graph's first build only), then the ordering and Σ_t |δC_t|
+    * once per distinct pattern; no stream is built.
     */
   def build(graph: PropertyGraph, name: String,
             views: Seq[(String, Ast.Expr)],
@@ -124,8 +105,7 @@ object ViewCollection {
       Console.err.println(
         f"[cct] $name%s views=$k%d patterns=${cct.patterns}%d diffs=$total%d " +
         f"ebm=${cct.ebmMs}%d order=${cct.orderMs}%d diff=${cct.diffMs}%d ms")
-    ViewCollection(name, order.map(views(_)._1), order, () => DiffStream.deltas(columns, order), k,
-                   total, Some(columns), cct)
+    ViewCollection(name, order.map(views(_)._1), order, k, total, columns, cct)
   }
 
   /** Build from a GVDL `create view collection` statement. */
@@ -137,15 +117,41 @@ object ViewCollection {
         throw new IllegalArgumentException(s"not a view-collection statement: $other")
     }
 
-  /** Build a collection from explicit per-view difference sets held on the
-    * driver (the §5 controlled experiment / Table 2 construction: artificial
-    * collections made by random edge additions and removals). `deltas()`
-    * returns `perView` as given, so neither building nor reading the stream
-    * runs a Spark job.
+  /** An explicit stream's row: `diff` is +1 to add, −1 to delete (which reads only `eid`). */
+  final case class Delta(eid: Long, src: Long, dst: Long, weight: Double, diff: Int)
+
+  /** Build a collection from explicit per-view difference sets (§5 /
+    * Table 2), packed into columns on the driver: each addition is a row, in
+    * stream order, whose bits run from its position to its deletion's (at
+    * most k(k+1)/2 patterns). Within a position deletions apply first;
+    * deleting an absent eid or adding a present one throws.
     */
   def fromExplicitDiffs(name: String, perView: Seq[Seq[Delta]]): ViewCollection = {
-    val held = perView.toIndexedSeq
-    ViewCollection(name, held.indices.map(t => s"v$t"), held.indices, () => held, held.size,
-                   held.map(_.size.toLong).sum, None, Cct(0, 0, 0))
+    val t0 = System.nanoTime()
+    val k = perView.size
+    val adds = mutable.ArrayBuffer.empty[(Delta, Int)] // a row's addition and its position
+    val gone = mutable.LongMap.empty[Int]             // row → its deletion's position
+    val live = mutable.LongMap.empty[Int]             // eid → its row, while present
+    for ((d, t) <- perView.zipWithIndex) {
+      for (x <- d if x.diff < 0) gone(live.remove(x.eid).getOrElse(throw new IllegalArgumentException(
+        s"position $t deletes edge ${x.eid}, which the view lacks"))) = t
+      for (x <- d if x.diff > 0) {
+        require(!live.contains(x.eid), s"position $t adds edge ${x.eid}, which the view has")
+        live(x.eid) = adds.size
+        adds += ((x, t))
+      }
+    }
+    val runs = adds.indices.map(r => (adds(r)._2, gone.getOrElse(r.toLong, k))) // [from, until)
+    val patterns = runs.distinct
+    val bits = patterns.map { case (from, until) =>
+      val b = new Array[Long](Ebm.words(k))
+      for (j <- from until until) b(j >> 6) |= 1L << (j & 63)
+      ArraySeq.unsafeWrapArray(b)
+    }
+    val columns = new Ebm.Columns(adds.map(_._1.eid).toArray, adds.map(_._1.src).toArray,
+      adds.map(_._1.dst).toArray, adds.map(_._1.weight).toArray,
+      runs.map(patterns.zipWithIndex.toMap).toArray, bits)
+    ViewCollection(name, (0 until k).map(t => s"v$t"), 0 until k, k, perView.map(_.size.toLong).sum,
+                   columns, Cct((System.nanoTime() - t0) / 1000000, 0, 0, patterns.size.toLong))
   }
 }

@@ -59,7 +59,7 @@ object TestGraphs {
 
   /** Difference stream from explicit per-view edge lists (keyed by eid). */
   def collectionFrom(name: String, views: Seq[Seq[E]]): ViewCollection = {
-    def delta(e: E, diff: Int) = EdgeArrangement.Delta(e.eid, e.src, e.dst, e.w, diff)
+    def delta(e: E, diff: Int) = ViewCollection.Delta(e.eid, e.src, e.dst, e.w, diff)
     val perView = views.zipWithIndex.map { case (v, t) =>
       val prev = if (t == 0) Map.empty[Long, E] else views(t - 1).map(e => e.eid -> e).toMap
       val cur  = v.map(e => e.eid -> e).toMap
@@ -70,10 +70,13 @@ object TestGraphs {
     ViewCollection.fromExplicitDiffs(name, perView)
   }
 
-  /** An edge list arranged as the collection loop arranges a view. */
+  /** An edge list arranged as the collection loop arranges a view: from
+    * the slice of a one-view collection, added in list order.
+    */
   def arrangement(edges: Seq[E]): EdgeArrangement = {
     val a = new EdgeArrangement
-    a.update(edges.map(e => EdgeArrangement.Delta(e.eid, e.src, e.dst, e.w, 1)))
+    a.update(ViewCollection.fromExplicitDiffs("arranged",
+      Seq(edges.map(e => ViewCollection.Delta(e.eid, e.src, e.dst, e.w, 1)))).delta(0))
     a
   }
 

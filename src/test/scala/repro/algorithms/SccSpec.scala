@@ -2,9 +2,8 @@ package repro.algorithms
 
 import repro.{Oracle, ReproSpec, TestGraphs}
 import repro.TestGraphs.E
-import repro.diff.CollectionExecutor
+import repro.diff.{CollectionExecutor, EdgeArrangement}
 import repro.diff.CollectionExecutor.{Adaptive, DiffOnly, ScratchOnly}
-import repro.diff.EdgeArrangement.Delta
 import repro.diff.Engine.RunResult
 import scala.util.Random
 
@@ -20,6 +19,18 @@ class SccSpec extends ReproSpec {
     Scc.fromScratch(TestGraphs.vertexIds(nV), TestGraphs.arrangement(edges))
 
   private def sccScratch(nV: Int, edges: Seq[E]): Map[Long, Long] = ids(scratch(nV, edges))
+
+  /** `Scc.advance` from `base`'s scratch run to `next`, over one
+    * arrangement fed the two views' slices.
+    */
+  private def advanced(nV: Int, base: Seq[E], next: Seq[E]): Map[Long, Long] = {
+    val coll = TestGraphs.collectionFrom("scc", Seq(base, next))
+    val edges = new EdgeArrangement
+    edges.update(coll.delta(0))
+    val prev = Scc.fromScratch(TestGraphs.vertexIds(nV), edges)
+    edges.update(coll.delta(1))
+    ids(Scc.advance(edges, coll.delta(1), prev))
+  }
 
   private def sccRef(nV: Int, edges: Seq[E]): Map[Long, Long] =
     Reference.scc((0L until nV).toSeq, edges.map(e => (e.src, e.dst)))
@@ -61,21 +72,15 @@ class SccSpec extends ReproSpec {
   test("incremental: additions that merge two SCCs") {
     val base = Seq((0L,1L),(1L,0L),(2L,3L),(3L,2L),(1L,2L))
       .zipWithIndex.map { case ((s,d), i) => E(i, s, d, 1.0) }
-    val prev = scratch(4, base)
     val added = base :+ E(100, 3L, 0L, 1.0) // closes the big cycle
-    val got = ids(Scc.advance(TestGraphs.arrangement(added), Seq(Delta(100, 3L, 0L, 1.0, 1)), prev))
-    assert(got == Map(0L->0L, 1L->0L, 2L->0L, 3L->0L))
+    assert(advanced(4, base, added) == Map(0L->0L, 1L->0L, 2L->0L, 3L->0L))
   }
 
   test("incremental: deletion that breaks an SCC") {
     val base = Seq((0L,1L),(1L,2L),(2L,0L),(2L,3L))
       .zipWithIndex.map { case ((s,d), i) => E(i, s, d, 1.0) }
-    val prev = scratch(4, base)
     val remaining = base.filterNot(e => e.src == 1L && e.dst == 2L)
-    val got = ids(Scc.advance(TestGraphs.arrangement(remaining),
-      base.filter(e => e.src == 1L && e.dst == 2L).map(e => Delta(e.eid, e.src, e.dst, e.w, -1)),
-      prev))
-    assert(got == sccRef(4, remaining))
+    assert(advanced(4, base, remaining) == sccRef(4, remaining))
   }
 
   for (seed <- Seq(21, 22)) {

@@ -3,23 +3,26 @@ package repro.bench
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.ReproSpec
-import repro.diff.EdgeArrangement.Delta
 import repro.diff.Engine
 import repro.graph.GraphGen
 
 /** `BenchUtil.perturbationCollection` builds every view's δ on the driver.
-  * Its stream must be, row for row and in order, the one the Spark-plan
-  * construction it replaced builds from the same draws.
+  * Its stream must hold, position by position, the rows the Spark-plan
+  * construction it replaced builds from the same draws, as a multiset: a
+  * slice lists them in ascending row order, deletions before additions.
   */
 class PerturbationCollectionSpec extends ReproSpec {
+
+  /** A stream row: `eid, src, dst, weight, diff`. */
+  private type Diff = (Long, Long, Long, Double, Int)
 
   /** The Spark-plan construction: per view an `orderBy`/`limit` over the
     * current edges, a `spark.range` of additions and a `left_anti` join,
     * every frame checkpointed; the per-view frames are unioned into one
-    * stream. Returns that stream as `deltas()` would read it.
+    * stream. Returns each position's rows `(eid, src, dst, weight, diff)`.
     */
   private def sparkPlanDeltas(spark: SparkSession, edges: DataFrame, nV: Long, views: Int,
-                              addN: Int, delN: Int, seed: Long): IndexedSeq[Seq[Delta]] = {
+                              addN: Int, delN: Int, seed: Long): IndexedSeq[Seq[Diff]] = {
     var current = Engine.ckpt(edges.select("eid", "src", "dst", "weight"))
     val perView = Seq.newBuilder[DataFrame]
     perView += current.withColumn("diff", lit(1))
@@ -44,9 +47,9 @@ class PerturbationCollectionSpec extends ReproSpec {
                   coalesce(col("weight"), lit(1.0)).as("weight"), col("diff"))
       }
       .reduce(_ unionByName _))
-    val byT = IndexedSeq.fill(views)(Vector.newBuilder[Delta])
+    val byT = IndexedSeq.fill(views)(Vector.newBuilder[Diff])
     stream.collect().foreach(r => byT(r.getInt(0)) +=
-      Delta(r.getLong(1), r.getLong(2), r.getLong(3), r.getDouble(4), r.getInt(5)))
+      ((r.getLong(1), r.getLong(2), r.getLong(3), r.getDouble(4), r.getInt(5))))
     byT.map(_.result())
   }
 
@@ -63,14 +66,23 @@ class PerturbationCollectionSpec extends ReproSpec {
       val want = sparkPlanDeltas(spark, edges, nV, views, addN, delN, seed)
       val coll = BenchUtil.perturbationCollection(spark, name, edges, nV, views,
                                                   addN, delN, seed)
-      val got = coll.deltas()
+      val slices = (0 until views).map(coll.delta)
+      val got = slices.map { s =>
+        val c = s.columns
+        (0 until s.size).map(k => (c.eid(s.row(k)), s.src(k), s.dst(k), s.weight(k), s.diff(k)))
+      }
       assert(coll.numViews == views, name)
-      assert(got.size == views, name)
-      for (t <- 0 until views) assert(got(t) == want(t), s"$name: view $t")
+      for (t <- 0 until views) {
+        assert(got(t).sorted == want(t).sorted, s"$name: view $t")
+        // Ascending rows, which put the deletions first.
+        val rows = (0 until slices(t).size).map(slices(t).row)
+        assert(rows == rows.sorted && rows.distinct == rows, s"$name: view $t row order")
+        assert(got(t).map(_._5) == got(t).map(_._5).sorted, s"$name: view $t deletions first")
+      }
       assert(coll.totalDiffs == want.map(_.size.toLong).sum, name)
       // The draws must be non-trivial: every later view both adds and deletes.
       for (t <- 1 until views) {
-        assert(got(t).exists(_.diff > 0) && got(t).exists(_.diff < 0), s"$name: view $t")
+        assert(got(t).exists(_._5 > 0) && got(t).exists(_._5 < 0), s"$name: view $t")
       }
     }
   }

@@ -1,15 +1,27 @@
 package repro.diff
 
 import org.scalatest.funsuite.AnyFunSuite
-import EdgeArrangement.Delta
+import repro.views.ViewCollection
+import repro.views.ViewCollection.Delta
 
-/** The driver-side edge arrangement: a multiset keyed by eid, read in
-  * either direction.
+/** The driver-side edge arrangement: a multiset advanced by slices of a
+  * collection's rows, read in either direction.
   */
 class EdgeArrangementSpec extends AnyFunSuite {
 
   private def add(eid: Long, src: Long, dst: Long, w: Double = 1.0) = Delta(eid, src, dst, w, 1)
-  private def del(eid: Long, src: Long, dst: Long, w: Double = 1.0) = Delta(eid, src, dst, w, -1)
+  private def del(eid: Long) = Delta(eid, 0L, 0L, 0.0, -1)
+
+  /** An explicit collection of `sets`, and an arrangement fed its
+    * positions one at a time by `advance(t)`.
+    */
+  private def stream(universe: Array[Long], sets: Seq[Delta]*): (EdgeArrangement, Int => Unit) = {
+    val coll = ViewCollection.fromExplicitDiffs("arranged", sets)
+    val a = new EdgeArrangement(universe)
+    (a, t => a.update(coll.delta(t)))
+  }
+  private def stream(sets: Seq[Delta]*): (EdgeArrangement, Int => Unit) =
+    stream(Array.emptyLongArray, sets: _*)
 
   // Reads by vid, through the arrangement's dense index; a vid without an
   // id has no edges.
@@ -33,20 +45,28 @@ class EdgeArrangementSpec extends AnyFunSuite {
   private def outDegree(a: EdgeArrangement, v: Long, undirected: Boolean): Int =
     if (a.index.find(v) < 0) 0 else a.degree(a.index.find(v), undirected)
 
+  /** Every arranged edge as (src, dst, weight), read from the out-lists. */
+  private def arranged(a: EdgeArrangement): Seq[(Long, Long, Double)] =
+    (0 until a.index.size).flatMap { v =>
+      val l = a.outAdj(v)
+      (0 until l.size).map(k => (a.index(v), a.index(l.nbr(k)), l.weight(k)))
+    }.sorted
+
   test("parallel edges stay a multiset and a deletion removes the copy it names") {
-    val a = new EdgeArrangement
-    a.update(Seq(add(0, 0, 1, 2.0), add(1, 0, 1, 5.0), add(2, 1, 2)))
+    val (a, advance) = stream(Seq(add(0, 0, 1, 2.0), add(1, 0, 1, 5.0), add(2, 1, 2)),
+                              Seq(del(0), add(3, 0, 1, 1.0)))
+    advance(0)
     assert(a.size == 3)
     assert(ins(a, 1, undirected = false) == Seq(0L -> 2.0, 0L -> 5.0))
     assert(outDegree(a, 0, undirected = false) == 2)
-    a.update(Seq(del(0, 0, 1, 2.0), add(3, 0, 1, 1.0)))
+    advance(1)
     assert(a.size == 3)
     assert(ins(a, 1, undirected = false) == Seq(0L -> 1.0, 0L -> 5.0))
   }
 
   test("undirected reads mirror every edge, a self-loop twice, and count degree over both") {
-    val a = new EdgeArrangement
-    a.update(Seq(add(0, 0, 1), add(1, 2, 0), add(2, 0, 0)))
+    val (a, advance) = stream(Seq(add(0, 0, 1), add(1, 2, 0), add(2, 0, 0)))
+    advance(0)
     assert(ins(a, 0, undirected = false) == Seq(0L -> 1.0, 2L -> 1.0))
     assert(ins(a, 0, undirected = true) == Seq(0L -> 1.0, 0L -> 1.0, 1L -> 1.0, 2L -> 1.0))
     assert(outNbrs(a, 0, undirected = false).sorted == Seq(0L, 1L))
@@ -57,42 +77,36 @@ class EdgeArrangementSpec extends AnyFunSuite {
     assert(outDegree(a, 7, undirected = true) == 0)
   }
 
-  test("a difference set that deletes an absent edge or re-adds a present one is rejected") {
-    val a = new EdgeArrangement
-    a.update(Seq(add(0, 0, 1)))
-    intercept[IllegalArgumentException](a.update(Seq(del(9, 0, 1))))
-    intercept[IllegalArgumentException](a.update(Seq(add(0, 0, 1))))
-  }
-
   test("a deletion from the middle of a vertex's list keeps the rest of both lists") {
-    val a = new EdgeArrangement
-    a.update((0 until 5).map(k => add(k, 0, 10L + k, k.toDouble)) :+ add(5, 3, 12, 7.0))
-    a.update(Seq(del(2, 0, 12, 2.0)))
+    val (a, advance) = stream((0 until 5).map(k => add(k, 0, 10L + k, k.toDouble)) :+ add(5, 3, 12, 7.0),
+                              Seq(del(2)))
+    advance(0)
+    advance(1)
     assert(a.size == 5)
     assert(outNbrs(a, 0, undirected = false).sorted == Seq(10L, 11L, 13L, 14L))
     assert(ins(a, 12, undirected = false) == Seq(3L -> 7.0))
     assert(ins(a, 13, undirected = false) == Seq(0L -> 3.0))
     assert(outDegree(a, 0, undirected = false) == 4)
-    assert(a.edges.map(_.eid).toSeq.sorted == Seq(0L, 1L, 3L, 4L, 5L))
+    assert(arranged(a) == Seq((0L, 10L, 0.0), (0L, 11L, 1.0), (0L, 13L, 3.0), (0L, 14L, 4.0),
+                              (3L, 12L, 7.0)))
   }
 
   test("a deleted eid can be added again, with other endpoints") {
-    val a = new EdgeArrangement
-    a.update(Seq(add(0, 0, 1), add(1, 1, 2)))
-    a.update(Seq(del(0, 0, 1)))
-    a.update(Seq(add(0, 2, 0, 4.0)))
+    val (a, advance) = stream(Seq(add(0, 0, 1), add(1, 1, 2)), Seq(del(0)), Seq(add(0, 2, 0, 4.0)),
+                              Seq(del(0), add(0, 0, 1, 3.0))) // deleted and re-added in one set
+    (0 to 2).foreach(advance)
     assert(a.size == 2)
     assert(ins(a, 1, undirected = false).isEmpty)
     assert(ins(a, 0, undirected = false) == Seq(2L -> 4.0))
-    a.update(Seq(del(0, 2, 0, 4.0), add(0, 0, 1, 3.0))) // deleted and re-added in one set
+    advance(3)
     assert(ins(a, 1, undirected = false) == Seq(0L -> 3.0))
     assert(ins(a, 0, undirected = false).isEmpty)
   }
 
   test("an endpoint outside the seeded universe gets the next dense id") {
-    val a = new EdgeArrangement(Array(5L, 6L, 7L))
+    val (a, advance) = stream(Array(5L, 6L, 7L), Seq(add(0, 5, 42), add(1, 42, 6)))
     assert((0 until 3).map(a.index(_)) == Seq(5L, 6L, 7L))
-    a.update(Seq(add(0, 5, 42), add(1, 42, 6)))
+    advance(0)
     assert(a.index.size == 4)
     assert(a.index.find(42L) == 3 && a.index(3) == 42L)
     assert(a.index.find(8L) == -1)

@@ -86,12 +86,13 @@ class ScratchRunSpec extends ReproSpec {
     val view1 = chain.tail :+ E(6L, 0L, 2L, 1.0) // 0→1 replaced by 0→2
     val verts = TestGraphs.vertexIds(7)
     val coll = TestGraphs.collectionFrom("capped", Seq(chain, view1))
-    val edges = TestGraphs.arrangement(chain)
+    val edges = new EdgeArrangement
+    edges.update(coll.delta(0))
 
     val capped = CappedBfs.fromScratch(verts, edges)
     assert(capped.stop.contains(Engine.Stop.Cap), s"scratch stopped by ${capped.stop}")
     assert(capped.iterations == 3)
-    val delta = coll.deltas()(1)
+    val delta = coll.delta(1)
     edges.update(delta)
     val advanced = CappedBfs.advance(edges, delta, capped)
     assert(advanced.stop.contains(Engine.Stop.Cap), s"replay stopped by ${advanced.stop}")

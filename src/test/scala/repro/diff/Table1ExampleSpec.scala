@@ -2,9 +2,9 @@ package repro.diff
 
 import repro.ReproSpec
 import repro.algorithms.{Reference, Sssp}
-import repro.diff.EdgeArrangement.Delta
 import repro.graph.GraphGen
 import repro.views.ViewCollection
+import repro.views.ViewCollection.Delta
 
 /** Table 1 / Figure 3 (§2): Bellman-Ford maintained differentially over
   * three graph versions — (s,w1) cost 2→1, then (s,w2) cost 10→1 — with a
@@ -68,8 +68,7 @@ class Table1ExampleSpec extends ReproSpec {
     val verts = g.vertexIds.collect().map(_.getLong(0))
     val vids = (0L until 4L + longChain).toSeq
     val arranged = new EdgeArrangement
-    val deltas = coll.deltas()
-    def advanceEdges(t: Int) = { val d = deltas(t); arranged.update(d); d }
+    def advanceEdges(t: Int) = { val d = coll.delta(t); arranged.update(d); d }
     advanceEdges(0)
     var run = prog.fromScratch(verts, arranged)
     assert(run.trace.lastIter == longChain) // the stored trace changes until the chain's end

@@ -43,13 +43,13 @@ class TraceSpec extends ReproSpec {
       val views = TestGraphs.perturbationViews(rnd, nV, init, 3, 8, 8)
       val coll = TestGraphs.collectionFrom(s"trace$seed", views)
       val verts = TestGraphs.vertexIds(nV)
-      val edges = TestGraphs.arrangement(views(0))
+      val edges = new EdgeArrangement
+      edges.update(coll.delta(0))
 
-      val deltas = coll.deltas()
       var run = prog.fromScratch(verts, edges)
       assertJacobi(prog, run, nV, views(0), "view 0 scratch")
       for (t <- 1 until views.size) {
-        val delta = deltas(t)
+        val delta = coll.delta(t)
         edges.update(delta)
         run = prog.advance(edges, delta, run)
         val scratch = prog.fromScratch(verts, TestGraphs.arrangement(views(t)))

@@ -2,8 +2,8 @@ package repro.views
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.scalatest.Assertion
 import repro.{Oracle, ReproSpec, TestGraphs}
-import repro.diff.EdgeArrangement.Delta
 import repro.graph.{GraphGen, PropertyGraph}
 import repro.gvdl.{Ast, Compiler, Parser}
 import repro.ordering.{CollectionOrderer, Hamming}
@@ -23,6 +23,21 @@ class EbmDiffSpec extends ReproSpec {
   private lazy val ebm = columns.frame(spark)
 
   private def eids(df: DataFrame): Set[Long] = df.select("eid").collect().map(_.getLong(0)).toSet
+
+  /** A frame's `eid, src, dst, weight` rows, sorted. */
+  private def edgeRows(df: DataFrame): Seq[(Long, Long, Long, Double)] =
+    df.select("eid", "src", "dst", "weight").collect().toSeq
+      .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3))).sorted
+
+  /** A slice expanded to its rows `(eid, src, dst, weight, ±1)`, in order. */
+  private def expand(s: DiffStream.Slice): Seq[(Long, Long, Long, Double, Int)] =
+    (0 until s.size).map(k => (s.columns.eid(s.row(k)), s.src(k), s.dst(k), s.weight(k), s.diff(k)))
+
+  /** The stream of `columns` under `order`, every position expanded. */
+  private def stream(columns: Ebm.Columns, order: Seq[Int]): Seq[Seq[(Long, Long, Long, Double, Int)]] = {
+    val reader = DiffStream.reader(columns, order.toIndexedSeq)
+    order.indices.map(t => expand(reader(t)))
+  }
 
   test("EBM has one row per edge with packed bits") {
     assert(ebm.count() == graph.edges.count())
@@ -96,28 +111,28 @@ class EbmDiffSpec extends ReproSpec {
 
   test("difference stream reconstitutes every view (Σ_{s≤t} δC_s = GV_t)") {
     val order = 0 until predTexts.size
-    val ds = DiffStream.deltas(columns, order)
+    val ds = stream(columns, order)
     val live = mutable.Set.empty[Long]
     for (t <- order) {
-      ds(t).foreach(d => if (d.diff > 0) live += d.eid else live -= d.eid)
+      ds(t).foreach { case (eid, _, _, _, diff) => if (diff > 0) live += eid else live -= eid }
       // Exactly the same edge set, not just the same size.
       assert(live == eids(EbmReference.viewEdges(ebm, t)), s"view $t membership")
     }
   }
 
-  /** `deltas()` is the stream built edge by edge (`EbmReference.stream`)
-    * over the collection's EBM and order: position t holds the reference's
-    * rows of t, in order, and the positions sum to `totalDiffs`.
+  /** `delta(t)`, expanded, is the stream built edge by edge
+    * (`EbmReference.stream`) over the collection's EBM and order: position
+    * t holds the reference's rows of t, in order, and the positions sum to
+    * `totalDiffs`.
     */
-  private def assertStreamIsReference(coll: ViewCollection): Unit = {
+  private def assertStreamIsReference(coll: ViewCollection): Assertion = {
     val want = EbmReference.stream(coll.ebm.get, coll.order)
       .select(col("t").cast("int"), col("eid").cast("long"), col("src").cast("long"),
               col("dst").cast("long"), col("weight").cast("double"), col("diff").cast("int"))
       .collect().toSeq
-      .map(r => (r.getInt(0), Delta(r.getLong(1), r.getLong(2), r.getLong(3), r.getDouble(4),
-                                    r.getInt(5))))
+      .map(r => (r.getInt(0), (r.getLong(1), r.getLong(2), r.getLong(3), r.getDouble(4), r.getInt(5))))
     val wantByT = want.groupMap(_._1)(_._2)
-    val got = coll.deltas()
+    val got = (0 until coll.numViews).map(t => expand(coll.delta(t)))
     assert(want.nonEmpty, s"${coll.name}: empty stream")
     assert(got.size == coll.numViews, coll.name)
     for (t <- 0 until coll.numViews)
@@ -164,7 +179,7 @@ class EbmDiffSpec extends ReproSpec {
     ViewCollection.fromGvdl(graph, gvdl, ViewCollection.GraphsurgeOrder)
   }
 
-  test("deltas() is the difference stream, position by position and in order") {
+  test("delta(t) is the difference stream, position by position and in order") {
     assert(shuffled.order != shuffled.order.sorted, "the Graphsurge order is the identity")
     assertStreamIsReference(shuffled)
 
@@ -174,10 +189,9 @@ class EbmDiffSpec extends ReproSpec {
     // and the sixth repeats it.
     val views = TestGraphs.perturbationViews(rnd, 20, init, 4, 5, 5) :+ init :+ init
     val coll = TestGraphs.collectionFrom("explicit", views)
-    val ds = coll.deltas()
-    assert(ds.size == coll.numViews)
+    val ds = (0 until coll.numViews).map(coll.delta)
     assert(ds.map(_.size).sum == coll.totalDiffs)
-    assert(ds.last.isEmpty) // a view identical to the one before it
+    assert(ds.last.size == 0) // a view identical to the one before it
     for (t <- views.indices)
       assert(eids(coll.viewEdges(t)) == views(t).map(_.eid).toSet, s"view $t")
   }
@@ -189,18 +203,35 @@ class EbmDiffSpec extends ReproSpec {
              s"view $t")
   }
 
+  test("viewEdges(t) gives every edge's eid, src, dst and weight") {
+    val m = shuffled.ebm.get
+    for (t <- 0 until shuffled.numViews)
+      assert(edgeRows(shuffled.viewEdges(t)) == edgeRows(EbmReference.viewEdges(m, shuffled.order(t))),
+             s"view $t")
+    // Eid 0 comes back with other endpoints and weight, and eid 1 with the same.
+    val d = ViewCollection.Delta
+    val coll = ViewCollection.fromExplicitDiffs("returns", Seq(
+      Seq(d(0, 0, 1, 2.0, 1), d(1, 1, 2, 1.0, 1), d(2, 2, 0, 4.0, 1)),
+      Seq(d(0, 0, 0, 0.0, -1), d(1, 0, 0, 0.0, -1)),
+      Seq(d(0, 3, 1, 5.0, 1), d(1, 1, 2, 1.0, 1))))
+    assert((0 until 3).map(t => edgeRows(coll.viewEdges(t))) == Seq(
+      Seq((0L, 0L, 1L, 2.0), (1L, 1L, 2L, 1.0), (2L, 2L, 0L, 4.0)),
+      Seq((2L, 2L, 0L, 4.0)),
+      Seq((0L, 3L, 1L, 5.0), (1L, 1L, 2L, 1.0), (2L, 2L, 0L, 4.0))))
+  }
+
   test("diff multiplicities are only +1/-1 and first occurrence is +1") {
-    val rows = DiffStream.deltas(columns, 0 until predTexts.size).flatten
-    assert(rows.nonEmpty && rows.forall(d => math.abs(d.diff) == 1))
+    val rows = stream(columns, 0 until predTexts.size).flatten
+    assert(rows.nonEmpty && rows.forall(d => math.abs(d._5) == 1))
     // Positions are in ascending t, and groupBy keeps each edge's rows in order.
-    assert(rows.groupBy(_.eid).values.forall(_.head.diff == 1))
+    assert(rows.groupBy(_._1).values.forall(_.head._5 == 1))
   }
 
   test("countDiffs equals materialized stream length for any order") {
     val order = Seq(3, 0, 4, 1, 2)
     val n = DiffStream.countDiffs(ebm, order)
     assert(n == DiffStream.count(columns.patterns, order))
-    assert(n == DiffStream.deltas(columns, order).map(_.size).sum)
+    assert(n == stream(columns, order).map(_.size).sum)
   }
 
   test("inclusion-chain order yields fewer diffs than a bad order") {
@@ -227,8 +258,8 @@ class EbmDiffSpec extends ReproSpec {
       .withColumn("src", col("eid")).withColumn("dst", col("eid") + 1)
     val packed = Ebm.fromBoolColumns(df,
       Seq(col("v1") === 1, col("v2") === 1, col("v3") === 1))
-    val diffs = DiffStream.deltas(packed, Seq(0, 1, 2)).zipWithIndex
-      .flatMap { case (ds, t) => ds.map(d => (d.eid, t, d.diff)) }.toSet
+    val diffs = stream(packed, Seq(0, 1, 2)).zipWithIndex
+      .flatMap { case (ds, t) => ds.map(d => (d._1, t, d._5)) }.toSet
     val expected = Set(
       (0L, 0, 1), (0L, 1, -1),
       (1L, 0, 1), (1L, 1, -1), (1L, 2, 1),
@@ -343,7 +374,7 @@ class EbmDiffSpec extends ReproSpec {
       val coll = ViewCollection.fromGvdl(communities, removalGvdl, ViewCollection.GraphsurgeOrder)
       assertStreamIsReference(coll)
       val patterns = Ebm.patterns(coll.ebm.get)
-      assert(patterns == coll.columns.get.patterns)
+      assert(patterns == coll.columns.patterns)
       assert(coll.cct.patterns == patterns.size)
       assert(coll.totalDiffs == DiffStream.count(patterns, coll.order))
     }

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 
 /** Per-row readings of a packed EBM, for tests: view membership straight
   * from the EBM columns, and the difference stream built edge by edge,
-  * which the pattern-memoized [[DiffStream.deltas]] must reproduce.
+  * which the pattern-memoized [[DiffStream.reader]] must reproduce.
   */
 object EbmReference {
 
